@@ -6,11 +6,9 @@
 //! accumulates those pilots and converts them into
 //! [`allocation::GroupParams`](crate::allocation::GroupParams).
 //!
-//! The paper calls this phase "bootstrapping", and this module used to be
-//! named `bootstrap` after it — but it is *not* a statistical bootstrap
-//! (no resampling happens). It was renamed `pilot` so that
-//! [`resample`](crate::resample), the actual bootstrap engine, can own
-//! that vocabulary; the old path survives as a deprecated re-export.
+//! The paper calls this phase "bootstrapping", but it is *not* a
+//! statistical bootstrap (no resampling happens); that vocabulary
+//! belongs to [`resample`](crate::resample), the actual bootstrap engine.
 
 use crate::allocation::GroupParams;
 use crate::moments::RunningMoments;
@@ -116,15 +114,6 @@ mod tests {
         p.record(0.2, 1.0); // corrupt cost below one query
         p.record(0.4, 2.0);
         assert_eq!(p.mean_cost(3.0), 1.0);
-    }
-
-    /// The pre-rename path must keep resolving (deprecated, not removed).
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_bootstrap_path_still_resolves() {
-        let mut p = crate::bootstrap::PilotGroup::new();
-        p.record(1.0, 2.0);
-        assert_eq!(p.count(), 1);
     }
 
     #[test]

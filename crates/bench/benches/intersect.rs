@@ -1,10 +1,10 @@
-//! Intersection-strategy microbenchmark: galloping vs per-segment bitset
-//! vs the legacy per-candidate re-check, across selectivity ratios of the
-//! two driven posting lists. This is the data that pins the engine's
-//! density cut-over (`GALLOP_RATIO` in `hidden-db/src/database.rs`):
-//! galloping wins when the larger list dwarfs the smaller, the bitset
-//! wins when the lists are comparably dense, and both skip the residual
-//! column loads the re-check scan pays for every rarest-list candidate.
+//! Intersection-strategy microbenchmark: galloping vs per-segment bitset,
+//! across selectivity ratios of the two driven posting lists, with the
+//! brute-force `reference_answer` full scan as the `reference` row. This
+//! is the data that pins the engine's density cut-over (`GALLOP_RATIO`
+//! in `hidden-db/src/database.rs`): galloping wins when the larger list
+//! dwarfs the smaller, the bitset wins when the lists are comparably
+//! dense.
 //!
 //! The population plants one dense attribute (A0 = 0 on half the tuples,
 //! the "large" list) and a staircase attribute whose values select
@@ -75,7 +75,6 @@ fn bench_intersection(c: &mut Criterion) {
     let modes = [
         ("gallop", IntersectPolicy::Gallop),
         ("bitset", IntersectPolicy::Bitset),
-        ("recheck", IntersectPolicy::Recheck),
         ("blockmax", IntersectPolicy::BlockMax),
     ];
     let ratios = [1u64, 4, 16, 64, 256];
@@ -90,6 +89,9 @@ fn bench_intersection(c: &mut Criterion) {
                 b.iter(|| black_box(db.answer(&q)))
             });
         }
+        group.bench_function(format!("ratio_{ratio}_reference"), |b| {
+            b.iter(|| black_box(db.reference_answer(&q)))
+        });
     }
     group.finish();
 }
@@ -124,7 +126,6 @@ fn bench_kway(c: &mut Criterion) {
         ("blockmax", IntersectPolicy::BlockMax),
         ("gallop", IntersectPolicy::Gallop),
         ("bitset", IntersectPolicy::Bitset),
-        ("recheck", IntersectPolicy::Recheck),
     ];
     for preds in [2usize, 3, 4, 6] {
         let q = ConjunctiveQuery::from_predicates(
@@ -136,6 +137,9 @@ fn bench_kway(c: &mut Criterion) {
                 b.iter(|| black_box(db.answer(&q)))
             });
         }
+        group.bench_function(format!("preds_{preds}_reference"), |b| {
+            b.iter(|| black_box(db.reference_answer(&q)))
+        });
     }
     group.finish();
 }

@@ -13,20 +13,21 @@
 //!    (8 trials × 10 rounds, three estimators): wall-clock of the
 //!    sequential trial loop vs the parallel runner, with a bitwise
 //!    identity check of every estimator series between the two, and a
-//!    second identity check of incremental vs wholesale memo
-//!    invalidation.
+//!    second identity check of the incremental memo against a memo-free
+//!    database.
 //! 3. **Memo little-change workload** (PR 2) — Fig 5-style rounds where
 //!    a small batch mutates the database and a fixed overlapping query
-//!    pool is re-asked each round, once per invalidation policy: hit
-//!    rate, wall-clock, invalidation counters, and a cross-policy
+//!    pool is re-asked each round: incremental invalidation vs a memo
+//!    cleared after every batch (`set_k`) vs no memo. Hit rate,
+//!    wall-clock, invalidation counters, and a cross-run
 //!    answer-fingerprint consistency check.
 //! 4. **Memo adversarial stream** (PR 2) — a distinct-query flood
 //!    against a small memo capacity: the memo must stay bounded and
 //!    evict.
 //! 5. **Intersection engine** (PR 3) — a deep-query (3–4 predicate)
-//!    pool evaluated cold by the galloping/bitset intersection engine vs
-//!    the PR 2 rarest-list re-check scan: queries/sec both ways and an
-//!    answer-fingerprint identity check (`intersect_identical`).
+//!    pool evaluated cold by the galloping/bitset intersection engine:
+//!    queries/sec and an answer-fingerprint identity check against the
+//!    brute-force `reference_answer` (`intersect_identical`).
 //! 6. **Early exit** (PR 3) — overflow-heavy `NewestFirst` scans with
 //!    the heap-floor early exit on vs off (`early_exit_consistent`).
 //! 7. **Ground-truth parallelism** (PR 3) — `exact_count`/`exact_sum`
@@ -340,9 +341,9 @@ fn interface_microbench() -> Json {
 }
 
 /// Fig 2 config at quick scale, 8 trials: sequential vs parallel runner,
-/// plus the PR 2 cross-policy identity check (incremental memo
-/// invalidation vs the wholesale-clear baseline). `pool` is the
-/// `--threads` flag's pool (auto when absent).
+/// plus the cross-policy identity check (incremental memo invalidation
+/// vs a memo-free database). `pool` is the `--threads` flag's pool (auto
+/// when absent).
 fn track_workload(pool: Threads) -> Json {
     let mut cfg = BaseCfg::for_scale(Scale::Quick);
     cfg.trials = 8;
@@ -358,14 +359,14 @@ fn track_workload(pool: Threads) -> Json {
     let par = track_with_threads(&cfg, &algos, rs, &count_star_tracked, pool);
     let par_wall = t0.elapsed();
 
-    // Same track with the legacy wholesale-clear policy: estimator
-    // records must be bit-identical — caching is invisible to figures.
-    let mut wholesale_cfg = cfg.clone();
-    wholesale_cfg.memo_policy = InvalidationPolicy::Wholesale;
+    // Same track without a memo: estimator records must be
+    // bit-identical — caching is invisible to figures.
+    let mut disabled_cfg = cfg.clone();
+    disabled_cfg.memo_policy = InvalidationPolicy::Disabled;
     let t0 = Instant::now();
-    let wholesale =
-        track_with_threads(&wholesale_cfg, &algos, rs, &count_star_tracked, Threads::fixed(1));
-    let wholesale_wall = t0.elapsed();
+    let disabled =
+        track_with_threads(&disabled_cfg, &algos, rs, &count_star_tracked, Threads::fixed(1));
+    let disabled_wall = t0.elapsed();
 
     Json::obj()
         .field("config", "fig02 quick scale")
@@ -378,8 +379,8 @@ fn track_workload(pool: Threads) -> Json {
         .field("parallel_threads", threads_used)
         .field("speedup", seq_wall.as_secs_f64() / par_wall.as_secs_f64().max(f64::MIN_POSITIVE))
         .field("bit_identical", outcomes_bit_identical(&seq, &par))
-        .field("wholesale_sequential_wall_s", wholesale_wall.as_secs_f64())
-        .field("bit_identical_across_policies", outcomes_bit_identical(&seq, &wholesale))
+        .field("disabled_sequential_wall_s", disabled_wall.as_secs_f64())
+        .field("bit_identical_across_policies", outcomes_bit_identical(&seq, &disabled))
 }
 
 /// Order-sensitive FNV-1a-style fold of one answer into a running
@@ -404,11 +405,21 @@ fn fold_outcome(mut h: u64, out: &QueryOutcome) -> u64 {
     h
 }
 
+/// [`fold_outcome`] over one pass of `pool`, each query answered by
+/// `answer`.
+fn pool_fingerprint(
+    pool: &[ConjunctiveQuery],
+    mut answer: impl FnMut(&ConjunctiveQuery) -> QueryOutcome,
+) -> u64 {
+    pool.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, q| fold_outcome(h, &answer(q)))
+}
+
 /// Fig 5-style little-change rounds: a small batch mutates the database,
-/// then a fixed overlapping query pool is re-asked — once per policy.
-/// This is the workload incremental invalidation exists for: wholesale
-/// clears pay a full cold pool every round, incremental keeps everything
-/// the batch didn't touch warm.
+/// then a fixed overlapping query pool is re-asked — once per run. This
+/// is the workload incremental invalidation exists for: the `wholesale`
+/// run clears the whole memo after every batch (`set_k` to the same
+/// `k`) and pays a full cold pool every round, incremental keeps
+/// everything the batch didn't touch warm.
 fn memo_little_change() -> Json {
     const N: usize = 4_000;
     const K: usize = 100;
@@ -416,7 +427,7 @@ fn memo_little_change() -> Json {
     const ROUNDS: usize = 30;
     const INSERTS_PER_ROUND: usize = 4;
 
-    let run = |policy: InvalidationPolicy| {
+    let run = |policy: InvalidationPolicy, clear_each_round: bool| {
         let mut gen = AutosGenerator::with_attrs(ATTRS);
         let mut rng = StdRng::seed_from_u64(0xF165);
         let mut db = load_database(&mut gen, &mut rng, N, K, ScoringPolicy::default());
@@ -446,6 +457,9 @@ fn memo_little_change() -> Json {
                 ));
             }
             db.apply(batch).expect("little-change batch is valid");
+            if clear_each_round {
+                db.set_k(K);
+            }
             for q in &pool {
                 fingerprint = fold_outcome(fingerprint, &db.answer(q));
             }
@@ -454,9 +468,9 @@ fn memo_little_change() -> Json {
         (db, fingerprint, wall, pool.len())
     };
 
-    let (inc_db, inc_fp, inc_wall, pool_len) = run(InvalidationPolicy::Incremental);
-    let (who_db, who_fp, who_wall, _) = run(InvalidationPolicy::Wholesale);
-    let (_, dis_fp, dis_wall, _) = run(InvalidationPolicy::Disabled);
+    let (inc_db, inc_fp, inc_wall, pool_len) = run(InvalidationPolicy::Incremental, false);
+    let (who_db, who_fp, who_wall, _) = run(InvalidationPolicy::Incremental, true);
+    let (_, dis_fp, dis_wall, _) = run(InvalidationPolicy::Disabled, false);
 
     let inc_rate = inc_db.stats().cache_hit_rate();
     let who_rate = who_db.stats().cache_hit_rate();
@@ -539,8 +553,9 @@ fn memo_adversarial() -> Json {
 }
 
 /// Deep-query pool: every 3-predicate combination over the first three
-/// attributes plus a 4-predicate layer — the workload where the PR 2
-/// rarest-list scan re-checked every other predicate per candidate.
+/// attributes plus a 4-predicate layer — the workload where a scan of
+/// the rarest list alone would re-check every other predicate per
+/// candidate.
 fn deep_query_pool(schema: &hidden_db::schema::Schema) -> Vec<ConjunctiveQuery> {
     let attrs: Vec<_> = schema.attr_ids().collect();
     let mut pool = Vec::new();
@@ -562,48 +577,35 @@ fn deep_query_pool(schema: &hidden_db::schema::Schema) -> Vec<ConjunctiveQuery> 
     pool
 }
 
-/// PR 3: the galloping/bitset intersection engine vs the PR 2
-/// rarest-list re-check scan on cold deep queries (memo disabled so
-/// every answer evaluates). `intersect_identical` must always be true.
+/// PR 3: the galloping/bitset intersection engine on cold deep queries
+/// (memo disabled so every answer evaluates), checked against the
+/// brute-force `reference_answer`. `intersect_identical` must always be
+/// true.
 fn intersection_engine() -> Json {
     const N: usize = 20_000;
     const K: usize = 50;
     const ATTRS: usize = 12;
     const PASSES: usize = 6;
 
-    let run = |config: EvalConfig| {
-        let mut gen = AutosGenerator::with_attrs(ATTRS);
-        let mut rng = StdRng::seed_from_u64(0x1A7E);
-        let mut db = load_database(&mut gen, &mut rng, N, K, ScoringPolicy::default());
-        db.set_invalidation_policy(InvalidationPolicy::Disabled);
-        db.set_eval_config(config);
-        let pool = deep_query_pool(&db.schema().clone());
-        let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-        let t0 = Instant::now();
-        for _ in 0..PASSES {
-            for q in &pool {
-                fingerprint = fold_outcome(fingerprint, &db.answer(q));
-            }
-        }
-        let wall = t0.elapsed();
-        (db, fingerprint, wall, PASSES * pool.len())
-    };
-
-    let engine = EvalConfig::default();
-    let recheck = EvalConfig { early_exit: false, intersect: IntersectPolicy::Recheck };
-    let (engine_db, engine_fp, engine_wall, queries) = run(engine);
-    let (_, recheck_fp, recheck_wall, _) = run(recheck);
-    let stats = engine_db.eval_stats();
-    let engine_qps = queries as f64 / engine_wall.as_secs_f64();
-    let recheck_qps = queries as f64 / recheck_wall.as_secs_f64();
+    let mut gen = AutosGenerator::with_attrs(ATTRS);
+    let mut rng = StdRng::seed_from_u64(0x1A7E);
+    let mut db = load_database(&mut gen, &mut rng, N, K, ScoringPolicy::default());
+    db.set_invalidation_policy(InvalidationPolicy::Disabled);
+    let pool = deep_query_pool(&db.schema().clone());
+    let t0 = Instant::now();
+    let engine_fps: Vec<u64> =
+        (0..PASSES).map(|_| pool_fingerprint(&pool, |q| db.answer(q))).collect();
+    let engine_wall = t0.elapsed();
+    // One reference pass: the brute-force scan costs far more than the engine.
+    let reference_fp = pool_fingerprint(&pool, |q| db.reference_answer(q));
+    let stats = db.eval_stats();
+    let queries = PASSES * pool.len();
     Json::obj()
         .field("population", N)
         .field("k", K)
-        .field("deep_queries_per_pass", queries / PASSES)
+        .field("deep_queries_per_pass", pool.len())
         .field("min_predicates", 3u64)
-        .field("engine_queries_per_sec", engine_qps)
-        .field("recheck_queries_per_sec", recheck_qps)
-        .field("engine_speedup", engine_qps / recheck_qps)
+        .field("engine_queries_per_sec", queries as f64 / engine_wall.as_secs_f64())
         .field("gallop_intersections", stats.gallop_intersections)
         .field("bitset_intersections", stats.bitset_intersections)
         .field("blockmax_intersections", stats.blockmax_intersections)
@@ -611,8 +613,7 @@ fn intersection_engine() -> Json {
         .field("blocks_skipped", stats.blocks_skipped)
         .field("pivot_advances", stats.pivot_advances)
         .field("early_exits", stats.early_exits)
-        .field("intersect_identical", engine_fp == recheck_fp)
-        .field("engine_beats_recheck", engine_qps > recheck_qps)
+        .field("intersect_identical", engine_fps.iter().all(|&fp| fp == reference_fp))
 }
 
 /// PR 8: the k-way block-max engine vs the pair strategies on
@@ -632,7 +633,8 @@ fn intersection_engine() -> Json {
 /// pair engines scan every segment end to end — while per-block bounds
 /// still discriminate perfectly: the block-max engine visits the ~30
 /// hot blocks and skips the other ~450 whole.
-/// `kway_identical` must always be true;
+/// `kway_identical` (every engine and the brute-force `reference_answer`
+/// agree on every pool) must always be true;
 /// `kway_speedup_on_multipredicate` asserts the ≥1.3× win on the
 /// 4-predicate pool against the better pair engine.
 fn intersection_kway() -> Json {
@@ -690,7 +692,6 @@ fn intersection_kway() -> Json {
         ("blockmax", EvalConfig { early_exit: true, intersect: IntersectPolicy::BlockMax }),
         ("gallop", EvalConfig { early_exit: true, intersect: IntersectPolicy::Gallop }),
         ("bitset", EvalConfig { early_exit: true, intersect: IntersectPolicy::Bitset }),
-        ("recheck", EvalConfig { early_exit: false, intersect: IntersectPolicy::Recheck }),
     ];
     let mut dbs: Vec<(&str, hidden_db::HiddenDatabase)> =
         policies.iter().map(|&(name, config)| (name, fresh(config))).collect();
@@ -705,23 +706,20 @@ fn intersection_kway() -> Json {
     for preds in [2usize, 3, 4, 6] {
         let pool = pool_for(preds);
         let mut section = Json::obj().field("pool_queries", pool.len());
+        let reference_fp = pool_fingerprint(&pool, |q| dbs[0].1.reference_answer(q));
         let mut fingerprints: Vec<u64> = Vec::new();
         let mut qps_by_policy: Vec<f64> = Vec::new();
         for (name, db) in dbs.iter_mut() {
-            let mut fp = 0xcbf2_9ce4_8422_2325u64;
             let t0 = Instant::now();
-            for _ in 0..PASSES {
-                for q in &pool {
-                    fp = fold_outcome(fp, &db.answer(q));
-                }
-            }
+            let fps: Vec<u64> =
+                (0..PASSES).map(|_| pool_fingerprint(&pool, |q| db.answer(q))).collect();
             let wall = t0.elapsed();
             let qps = (PASSES * pool.len()) as f64 / wall.as_secs_f64();
-            fingerprints.push(fp);
+            fingerprints.extend(fps);
             qps_by_policy.push(qps);
             section = section.field(&format!("{name}_queries_per_sec"), qps);
         }
-        let identical = fingerprints.iter().all(|&fp| fp == fingerprints[0]);
+        let identical = fingerprints.iter().all(|&fp| fp == reference_fp);
         all_identical &= identical;
         section = section.field("identical", identical);
         if preds == 4 {

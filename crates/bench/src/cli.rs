@@ -6,12 +6,9 @@
 //! * `--rounds N` — override tracked rounds;
 //! * `--budget N` — override the per-round query budget `G`;
 //! * `--seed N` — base seed;
-//! * `--memo incremental|wholesale|disabled` — the database's memo
-//!   invalidation policy (outcome-invariant; pinned by the determinism
-//!   suite);
 //! * `--maintain off|N` — per-round segment-maintenance budget in
 //!   scanned slots/postings (`off` = never maintain, the default;
-//!   outcome-invariant like the memo policy);
+//!   outcome-invariant, pinned by the determinism suite);
 //! * `--faults off|seeded:<rate>` — interface fault injection: `off` (the
 //!   default) runs estimators straight against the session; `seeded:0.2`
 //!   interposes the deterministic FaultyBackend + ResilientBackend stack
@@ -76,8 +73,6 @@ pub struct Cli {
     pub budget: Option<u64>,
     /// Seed override.
     pub seed: Option<u64>,
-    /// Memo invalidation policy override.
-    pub memo: Option<InvalidationPolicy>,
     /// Per-round maintenance budget override (`Some(None)` = explicit
     /// `off`, `Some(Some(n))` = budget of `n` scanned slots/postings).
     pub maintain: Option<Option<usize>>,
@@ -118,14 +113,6 @@ impl Cli {
                 "--rounds" => cli.rounds = Some(value("--rounds").parse().expect("usize")),
                 "--budget" => cli.budget = Some(value("--budget").parse().expect("u64")),
                 "--seed" => cli.seed = Some(value("--seed").parse().expect("u64")),
-                "--memo" => {
-                    cli.memo = Some(match value("--memo").as_str() {
-                        "incremental" => InvalidationPolicy::Incremental,
-                        "wholesale" => InvalidationPolicy::Wholesale,
-                        "disabled" => InvalidationPolicy::Disabled,
-                        other => panic!("unknown memo policy {other:?}"),
-                    })
-                }
                 "--maintain" => {
                     cli.maintain = Some(match value("--maintain").as_str() {
                         "off" => None,
@@ -170,7 +157,7 @@ impl Cli {
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --scale quick|default|paper  --trials N  --rounds N  \
-                         --budget N  --seed N  --memo incremental|wholesale|disabled  \
+                         --budget N  --seed N  \
                          --maintain off|N  --faults off|seeded:<rate>  \
                          --auto-maintain off|pressure:<t>  \
                          --persist <dir>,resident:<N>  --bootstrap off|N"
@@ -205,7 +192,8 @@ pub struct BaseCfg {
     pub delete: DeleteSpec,
     /// Base seed (trial t uses `seed + t`).
     pub seed: u64,
-    /// Memo invalidation policy for every trial database. Outcome-
+    /// Memo invalidation policy for every trial database (no flag sets
+    /// it; tests and `perf_baseline` switch it in code). Outcome-
     /// invariant (estimator records are bit-identical across policies);
     /// only wall-clock and cache counters change.
     pub memo_policy: InvalidationPolicy,
@@ -307,9 +295,6 @@ impl BaseCfg {
         if let Some(s) = cli.seed {
             self.seed = s;
         }
-        if let Some(p) = cli.memo {
-            self.memo_policy = p;
-        }
         if let Some(m) = cli.maintain {
             self.maintain_slots = m;
         }
@@ -366,24 +351,6 @@ mod tests {
         assert_eq!(cfg.rounds, 7);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.memo_policy, InvalidationPolicy::Incremental, "default policy");
-    }
-
-    #[test]
-    fn memo_policy_flag_parses_and_applies() {
-        let cli = parse(&["--memo", "wholesale"]);
-        assert_eq!(cli.memo, Some(InvalidationPolicy::Wholesale));
-        let cfg = BaseCfg::from_cli(&cli);
-        assert_eq!(cfg.memo_policy, InvalidationPolicy::Wholesale);
-        assert_eq!(
-            BaseCfg::from_cli(&parse(&["--memo", "disabled"])).memo_policy,
-            InvalidationPolicy::Disabled
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown memo policy")]
-    fn unknown_memo_policy_panics() {
-        parse(&["--memo", "sometimes"]);
     }
 
     #[test]

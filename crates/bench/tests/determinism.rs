@@ -1,8 +1,8 @@
 //! Parallel-vs-sequential determinism: the parallel trial runner must be
 //! a pure performance optimisation — same `BaseCfg` + seed must produce
 //! **bit-identical** summaries at every thread count. Likewise the memo
-//! invalidation policy (incremental vs wholesale vs disabled) must be a
-//! pure performance knob: estimator records cannot depend on caching.
+//! invalidation policy (incremental vs disabled) must be a pure
+//! performance knob: estimator records cannot depend on caching.
 
 use aggtrack_bench::cli::{BaseCfg, Scale};
 use aggtrack_bench::runner::{
@@ -77,31 +77,21 @@ fn parallel_track_is_bit_identical_to_sequential() {
     }
 }
 
-/// Incremental invalidation (the default), the legacy wholesale clear,
-/// and a memo-free database must all produce bit-identical estimator
-/// series — caching is invisible to every figure track.
+/// Incremental invalidation (the default) and a memo-free database must
+/// produce bit-identical estimator series — caching is invisible to
+/// every figure track.
 #[test]
 fn memo_policy_is_outcome_invariant() {
     let incremental = run_with_policy(Threads::fixed(2), InvalidationPolicy::Incremental);
-    for policy in [InvalidationPolicy::Wholesale, InvalidationPolicy::Disabled] {
-        let other = run_with_policy(Threads::fixed(2), policy);
-        assert_bits_equal(
-            &incremental.truth.means(),
-            &other.truth.means(),
-            &format!("truth means vs {policy:?}"),
-        );
-        for (s, p) in incremental.algos.iter().zip(&other.algos) {
-            let tag = |metric: &str| format!("{} {metric} (vs {policy:?})", s.name);
-            assert_bits_equal(&s.rel_err.means(), &p.rel_err.means(), &tag("rel_err μ"));
-            assert_bits_equal(&s.rel_err.stds(), &p.rel_err.stds(), &tag("rel_err σ"));
-            assert_bits_equal(&s.ratio.means(), &p.ratio.means(), &tag("ratio μ"));
-            assert_bits_equal(&s.change_est.means(), &p.change_est.means(), &tag("change_est μ"));
-            assert_bits_equal(
-                &s.cum_queries.means(),
-                &p.cum_queries.means(),
-                &tag("cum_queries μ"),
-            );
-        }
+    let disabled = run_with_policy(Threads::fixed(2), InvalidationPolicy::Disabled);
+    assert_bits_equal(&incremental.truth.means(), &disabled.truth.means(), "truth means");
+    for (s, p) in incremental.algos.iter().zip(&disabled.algos) {
+        let tag = |metric: &str| format!("{} {metric}", s.name);
+        assert_bits_equal(&s.rel_err.means(), &p.rel_err.means(), &tag("rel_err μ"));
+        assert_bits_equal(&s.rel_err.stds(), &p.rel_err.stds(), &tag("rel_err σ"));
+        assert_bits_equal(&s.ratio.means(), &p.ratio.means(), &tag("ratio μ"));
+        assert_bits_equal(&s.change_est.means(), &p.change_est.means(), &tag("change_est μ"));
+        assert_bits_equal(&s.cum_queries.means(), &p.cum_queries.means(), &tag("cum_queries μ"));
     }
 }
 

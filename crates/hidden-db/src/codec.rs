@@ -20,9 +20,8 @@
 //! Layout (all integers little-endian):
 //! `magic "HDBS" | format u32 | k u64 | policy | schema | store | free
 //! list | posting lists` — see [`write_snapshot`] for the field-level
-//! walk. **v1 snapshots still load** (tuple-level format, scores and
-//! bounds recomputed on insert); reading rejects bad magic, unknown
-//! versions, truncation, and implausible counts with
+//! walk. Reading accepts format v2 only and rejects bad magic, any
+//! other version, truncation, and implausible counts with
 //! [`io::ErrorKind::InvalidData`] instead of panicking.
 
 use std::io::{self, Read, Write};
@@ -32,8 +31,7 @@ use crate::index::{InvertedIndex, PostingList};
 use crate::ranking::ScoringPolicy;
 use crate::schema::{AttributeDef, MeasureDef, Schema};
 use crate::store::{SegmentData, SegmentMeta, Store, BLOCKS_PER_SEGMENT, SEGMENT_SLOTS};
-use crate::tuple::Tuple;
-use crate::value::{MeasureId, TupleKey, ValueId};
+use crate::value::MeasureId;
 
 const MAGIC: &[u8; 4] = b"HDBS";
 const FORMAT_VERSION: u32 = 2;
@@ -250,8 +248,7 @@ pub fn write_snapshot(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()>
     Ok(())
 }
 
-/// Deserialises a snapshot produced by [`write_snapshot`] — or by the
-/// v1 writer of earlier releases (tuple-level back-compat path).
+/// Deserialises a snapshot produced by [`write_snapshot`].
 pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -259,29 +256,9 @@ pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
         return Err(bad("not a hidden-db snapshot (bad magic)"));
     }
     match read_u32(r)? {
-        1 => read_snapshot_v1(r),
-        2 => read_snapshot_v2(r),
+        FORMAT_VERSION => read_snapshot_v2(r),
         _ => Err(bad("unsupported snapshot format version")),
     }
-}
-
-/// v1 body: logical tuples only; scores, bounds, and the index rebuild
-/// through the ordinary insert path.
-fn read_snapshot_v1(r: &mut impl Read) -> io::Result<HiddenDatabase> {
-    let k = read_u64(r)? as usize;
-    let policy = read_policy(r)?;
-    let schema = read_schema(r)?;
-    let (attr_count, measure_count) = (schema.attr_count(), schema.measure_count());
-    let mut db = HiddenDatabase::new(schema, k, policy);
-    let n = read_u64(r)?;
-    for _ in 0..n {
-        let key = TupleKey(read_u64(r)?);
-        let values: Vec<ValueId> =
-            (0..attr_count).map(|_| read_u32(r).map(ValueId)).collect::<io::Result<_>>()?;
-        let ms: Vec<f64> = (0..measure_count).map(|_| read_f64(r)).collect::<io::Result<_>>()?;
-        db.insert(Tuple::new(key, values, ms)).map_err(|e| bad(&e.to_string()))?;
-    }
-    Ok(db)
 }
 
 /// v2 body: warm state verbatim. Every count is validated against the
@@ -447,37 +424,13 @@ fn read_snapshot_v2(r: &mut impl Read) -> io::Result<HiddenDatabase> {
     Ok(HiddenDatabase::from_restored(schema, k, policy, store, index))
 }
 
-/// The v1 writer, kept so the back-compat read path stays covered by
-/// tests against real v1 bytes (not hand-forged ones).
-#[cfg(test)]
-fn write_snapshot_v1(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    write_u32(w, 1)?;
-    write_u64(w, db.k() as u64)?;
-    write_policy(w, db.scoring_policy())?;
-    write_schema(w, db.schema())?;
-    let schema = db.schema();
-    let keys = db.alive_keys_sorted();
-    write_u64(w, keys.len() as u64)?;
-    for key in keys {
-        let t = db.get(key).expect("alive key");
-        write_u64(w, key.0)?;
-        for a in schema.attr_ids() {
-            write_u32(w, t.value(a).0)?;
-        }
-        for m in 0..schema.measure_count() {
-            write_f64(w, t.measure(MeasureId(m as u16)))?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::{ConjunctiveQuery, Predicate};
+    use crate::tuple::Tuple;
     use crate::updates::UpdateBatch;
-    use crate::value::AttrId;
+    use crate::value::{AttrId, TupleKey, ValueId};
     use rand::{Rng, SeedableRng};
 
     fn sample_db(n: u64) -> HiddenDatabase {
@@ -608,19 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_still_load() {
-        let mut original = sample_db(120);
-        let mut buf = Vec::new();
-        write_snapshot_v1(&original, &mut buf).unwrap();
-        assert_eq!(buf[4], 1, "v1 writer must stamp version 1");
-        let mut restored = read_snapshot(&mut buf.as_slice()).unwrap();
-        assert_eq!(restored.len(), original.len());
-        for q in queries() {
-            assert_eq!(original.answer(&q), restored.answer(&q), "v1 query {q}");
-        }
-    }
-
-    #[test]
     fn bad_magic_rejected() {
         let mut buf = Vec::new();
         write_snapshot(&sample_db(3), &mut buf).unwrap();
@@ -642,8 +582,11 @@ mod tests {
     fn unknown_version_rejected() {
         let mut buf = Vec::new();
         write_snapshot(&sample_db(1), &mut buf).unwrap();
-        buf[4] = 99;
-        assert!(read_snapshot(&mut buf.as_slice()).is_err());
+        for version in [99, 1] {
+            buf[4] = version;
+            let err = read_snapshot(&mut buf.as_slice()).map(|_| ()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
+        }
     }
 
     /// Corrupted counts must produce [`io::ErrorKind::InvalidData`], not

@@ -51,16 +51,13 @@ pub enum IntersectPolicy {
     /// capped by the store's) cannot beat the top-`k` floor is skipped
     /// whole once overflow is pinned.
     BlockMax,
-    /// The legacy path: drive the rarest list alone and re-check every
-    /// other predicate per candidate. Kept as the baseline benches and
-    /// the oracle proptest compare against.
-    Recheck,
 }
 
 /// Evaluation-engine tuning. Every setting is **outcome-invariant**:
-/// query answers are bit-identical across all combinations (pinned by
-/// `tests/eval_oracle_proptest.rs`); only wall-clock and
-/// [`EvalStats`] counters move.
+/// query answers are bit-identical across all combinations and to
+/// [`HiddenDatabase::reference_answer`] (pinned by
+/// `tests/eval_oracle_proptest.rs`); only wall-clock and [`EvalStats`]
+/// counters move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalConfig {
     /// Stop top-`k` scans once `matched > k` and the heap floor provably
@@ -237,8 +234,7 @@ impl HiddenDatabase {
     }
 
     /// Changes `k` (used by the Fig 8 parameter sweep). `k` affects every
-    /// cached classification, so this is the one mutation that still
-    /// clears the memo wholesale.
+    /// cached classification, so this clears the whole memo.
     pub fn set_k(&mut self, k: usize) {
         self.k = k;
         self.bump_version();
@@ -581,7 +577,6 @@ impl HiddenDatabase {
                 InvalidationPolicy::Incremental => {
                     self.cache.invalidate(&mut footprint, self.version)
                 }
-                InvalidationPolicy::Wholesale => self.cache.clear(),
                 // Disabled: the memo never holds entries; nothing to drop.
                 InvalidationPolicy::Disabled => {}
             }
@@ -817,6 +812,26 @@ impl HiddenDatabase {
     }
 
     // ----- ground truth (experiments/tests only) --------------------------
+
+    /// The answer [`HiddenDatabase::answer`] must give, by brute force:
+    /// every alive slot is checked against every predicate and ranked
+    /// through the same `(score, slot)` top-`k` order. Uses no index,
+    /// memo or engine code, so it is the reference the oracle tests
+    /// compare the engine against. Unmetered: leaves every stats counter
+    /// alone.
+    ///
+    /// # Panics
+    /// If the query references attributes/values outside the schema.
+    pub fn reference_answer(&self, query: &ConjunctiveQuery) -> QueryOutcome {
+        query.validate(&self.schema).expect("search query must be valid for the schema");
+        let mut topk = TopK::new(self.k);
+        for slot in self.store.alive_slots() {
+            if slot_matches(query, &self.store, slot) {
+                topk.offer(self.store.score_at(slot), slot);
+            }
+        }
+        topk.finish(&self.store).outcome(&self.store)
+    }
 
     /// Exact number of alive tuples matching `query` (root if `None`).
     /// Bypasses the interface; for experiments and tests. Sequential —
@@ -1096,7 +1111,6 @@ fn eval_multi(
     match mode {
         IntersectPolicy::Gallop => eval_gallop(query, store, pa, pb, k, config.early_exit, stats),
         IntersectPolicy::Bitset => eval_bitset(query, store, pa, pb, k, config.early_exit, stats),
-        IntersectPolicy::Recheck => eval_recheck(query, store, pa, k, stats),
         IntersectPolicy::Auto | IntersectPolicy::BlockMax => {
             unreachable!("Auto resolves to a concrete strategy above; BlockMax returned early")
         }
@@ -1228,22 +1242,6 @@ fn eval_bitset(
             }
         }
     }
-    topk.finish(store)
-}
-
-/// The pre-segmentation baseline: drive the rarest list alone, re-check
-/// every predicate per candidate, scan to exhaustion. Kept for the
-/// bench/oracle comparison ([`IntersectPolicy::Recheck`]).
-fn eval_recheck(
-    query: &ConjunctiveQuery,
-    store: &StoreCore,
-    driver: SortedPostings<'_>,
-    k: usize,
-    stats: &mut EvalStats,
-) -> CachedEval {
-    stats.recheck_scans += 1;
-    let mut topk = TopK::new(k);
-    offer_run(query, store, driver.slots(), &mut topk);
     topk.finish(store)
 }
 
@@ -1716,22 +1714,6 @@ mod tests {
     }
 
     #[test]
-    fn wholesale_policy_still_clears_everything() {
-        let mut d = db();
-        d.set_invalidation_policy(InvalidationPolicy::Wholesale);
-        d.insert(t(1, 0, 0, 1.0)).unwrap();
-        d.insert(t(2, 1, 1, 2.0)).unwrap();
-        let untouched = q(&[(0, 1)]);
-        d.answer(&untouched);
-        assert_eq!(d.memo_len(), 1);
-        d.insert(t(3, 0, 2, 3.0)).unwrap();
-        assert_eq!(d.memo_len(), 0, "wholesale drops unaffected entries too");
-        let hits = d.stats().cache_hits;
-        d.answer(&untouched);
-        assert_eq!(d.stats().cache_hits, hits, "cold after wholesale clear");
-    }
-
-    #[test]
     fn disabled_policy_never_caches_and_stays_correct() {
         let mut d = db();
         d.set_invalidation_policy(InvalidationPolicy::Disabled);
@@ -1835,7 +1817,6 @@ mod tests {
             IntersectPolicy::Gallop,
             IntersectPolicy::Bitset,
             IntersectPolicy::BlockMax,
-            IntersectPolicy::Recheck,
         ] {
             for early_exit in [true, false] {
                 let schema = Schema::with_domain_sizes(&[2, 3, 4], &["m"]).unwrap();
@@ -2115,10 +2096,7 @@ mod tests {
         let page = d.answer(&probe);
         assert_eq!(page.keys().next(), Some(TupleKey(5)), "raised tuple must lead the page");
         // And the raised page matches the exhaustive reference bit for bit.
-        let mut reference = d.clone();
-        reference
-            .set_eval_config(EvalConfig { early_exit: false, intersect: IntersectPolicy::Recheck });
-        assert_eq!(reference.answer(&probe), page);
+        assert_eq!(d.reference_answer(&probe), page);
     }
 
     /// Maintenance is slot-stable: future inserts land in the same slots

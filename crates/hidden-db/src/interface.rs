@@ -12,18 +12,16 @@
 //!
 //! ## Evaluation is streaming and allocation-lean
 //!
-//! [`evaluate_streaming`] consumes candidates by internal iteration (the
-//! producer pushes slots into the ranking heap), so callers never
-//! materialise an intermediate `Vec<Slot>` — the root query streams the
-//! alive-slot scan and predicate queries stream a posting list directly.
-//! Result pages are materialised into [`TupleView`]s **once** per cache
-//! entry and shared behind an `Arc`, so repeated (memoised) answers to the
-//! same query cost one atomic increment instead of `k` fresh allocations.
-//! Since PR 2 cache entries can *outlive mutations*: the memo's
-//! postings-aware invalidation (see [`crate::memo`]'s module docs) drops
-//! exactly the entries whose result set a mutation can have changed, so a
-//! shared page is only ever served while every slot it references is
-//! untouched.
+//! Every engine path pushes matching slots one at a time into the
+//! streaming [`TopK`] heap, so no intermediate `Vec<Slot>` of candidates
+//! is materialised. Result pages are materialised into [`TupleView`]s
+//! **once** per cache entry and shared behind an `Arc`, so repeated
+//! (memoised) answers to the same query cost one atomic increment
+//! instead of `k` fresh allocations. Cache entries can *outlive
+//! mutations*: the memo's postings-aware invalidation (see
+//! [`crate::memo`]'s module docs) drops exactly the entries whose result
+//! set a mutation can have changed, so a shared page is only ever served
+//! while every slot it references is untouched.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -130,9 +128,9 @@ pub(crate) struct CachedEval {
     pub(crate) floor: u64,
     /// Materialised page, filled on first demand. Safe to cache because
     /// the memo drops (or demotes and re-checks) this entry before any
-    /// mutation that could touch one of `slots` becomes visible —
-    /// wholesale on version bumps under the legacy policy,
-    /// footprint-targeted under incremental invalidation.
+    /// mutation that could touch one of `slots` becomes visible: the
+    /// mutation's footprint names every touched slot and posting, and
+    /// `set_k` or a policy switch clears the whole memo.
     views: Option<Arc<[TupleView]>>,
 }
 
@@ -235,47 +233,6 @@ impl TopK {
     }
 }
 
-/// Evaluates `query` against the store with candidates delivered by
-/// internal iteration: `feed` is called once with a sink and pushes every
-/// candidate slot into it. Each candidate is re-checked against all
-/// predicates, so superset producers are safe. No intermediate candidate
-/// collection is allocated. (Test-only since the segment engine took
-/// over the production paths; kept as the reference harness here.)
-#[cfg(test)]
-pub(crate) fn evaluate_streaming(
-    query: &ConjunctiveQuery,
-    store: &StoreCore,
-    k: usize,
-    feed: impl FnOnce(&mut dyn FnMut(Slot)),
-) -> CachedEval {
-    let mut topk = TopK::new(k);
-    feed(&mut |slot| {
-        if slot_matches(query, store, slot) {
-            topk.offer(store.score_at(slot), slot);
-        }
-    });
-    topk.finish(store)
-}
-
-/// External-iteration convenience over [`evaluate_streaming`] for callers
-/// that already hold a candidate collection (tests, ad-hoc tools).
-#[cfg(test)]
-pub(crate) fn evaluate<I>(
-    query: &ConjunctiveQuery,
-    store: &StoreCore,
-    k: usize,
-    candidates: I,
-) -> CachedEval
-where
-    I: IntoIterator<Item = Slot>,
-{
-    evaluate_streaming(query, store, k, |sink| {
-        for slot in candidates {
-            sink(slot);
-        }
-    })
-}
-
 /// Whether the (possibly stale) candidate at `slot` is alive and satisfies
 /// every predicate — the columnar residual check behind every driver:
 /// per predicate, two array loads.
@@ -308,12 +265,25 @@ mod tests {
         s
     }
 
-    fn eval_all(q: &ConjunctiveQuery, store: &Store, k: usize) -> CachedEval {
-        evaluate_streaming(q, store, k, |sink| {
-            for slot in store.alive_slots() {
-                sink(slot);
+    /// Ranks the matching `candidates` (dead or non-matching slots are
+    /// skipped), as every engine path does.
+    fn evaluate(
+        q: &ConjunctiveQuery,
+        store: &Store,
+        k: usize,
+        candidates: impl IntoIterator<Item = Slot>,
+    ) -> CachedEval {
+        let mut topk = TopK::new(k);
+        for slot in candidates {
+            if slot_matches(q, store, slot) {
+                topk.offer(store.score_at(slot), slot);
             }
-        })
+        }
+        topk.finish(store)
+    }
+
+    fn eval_all(q: &ConjunctiveQuery, store: &Store, k: usize) -> CachedEval {
+        evaluate(q, store, k, store.alive_slots())
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //!
 //! ## Incremental invalidation
 //!
-//! Until PR 2 the memo was cleared wholesale on every database version
-//! bump, so a round that changed a handful of tuples re-evaluated every
-//! repeated query from cold. Now a mutation hands the memo the
+//! A round that changes a handful of tuples should not re-evaluate every
+//! repeated query from cold. A mutation hands the memo the
 //! [`UpdateFootprint`] of the tuples it actually touched, and only the
 //! entries that can have changed are dropped:
 //!
@@ -139,11 +138,8 @@ pub enum InvalidationPolicy {
     /// [`UpdateFootprint`] (plus the root query) are dropped.
     #[default]
     Incremental,
-    /// Pre-PR-2 behaviour: every mutation drops the whole memo. Kept as
-    /// the baseline the consistency oracle and benches compare against.
-    Wholesale,
-    /// No memoisation at all: every answer re-evaluates. The oracle the
-    /// consistency proptests trust.
+    /// No memoisation at all: every answer re-evaluates. The memo-free
+    /// reference the consistency proptests and benches compare against.
     Disabled,
 }
 
@@ -883,7 +879,7 @@ impl QueryMemo {
         self.clock.retain(|h| buckets.contains_key(h) && seen.insert(*h));
     }
 
-    /// Drops every entry (wholesale policy, `set_k`, policy switches).
+    /// Drops every entry (`set_k`, policy switches).
     pub(crate) fn clear(&mut self) {
         self.buckets.clear();
         self.by_posting.clear();

@@ -41,9 +41,6 @@ pub struct EvalStats {
     pub gallop_intersections: u64,
     /// Multi-predicate evaluations that used per-segment bitsets.
     pub bitset_intersections: u64,
-    /// Multi-predicate evaluations on the legacy rarest-list re-check
-    /// path (forced via [`crate::IntersectPolicy::Recheck`]).
-    pub recheck_scans: u64,
     /// Multi-predicate evaluations on the k-way block-max engine
     /// ([`crate::IntersectPolicy::BlockMax`], or `Auto` at 3+
     /// predicates).
@@ -77,8 +74,8 @@ pub struct MemoStats {
     pub retained: u64,
     /// Entries evicted by the bounded admission (CLOCK) policy.
     pub evicted: u64,
-    /// Wholesale clears (policy [`Wholesale`](crate::InvalidationPolicy),
-    /// `set_k`, or policy switches).
+    /// Whole-memo clears: `set_k` and invalidation-policy switches, the
+    /// two changes that can affect every cached entry.
     pub wholesale_clears: u64,
     /// Overflow entries demoted to `Stale` (kept for revalidation)
     /// instead of being dropped by an invalidation pass.

@@ -1391,6 +1391,8 @@ fn persistence_tier() -> Json {
         build_wall_s: f64,
         query_wall_s: f64,
         fingerprint: u64,
+        /// `segments_faulted` delta over the query-pool pass alone.
+        pool_faults: u64,
         count: u64,
         sum_bits: u64,
     }
@@ -1424,13 +1426,15 @@ fn persistence_tier() -> Json {
 
         let t0 = Instant::now();
         let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
+        let faults_before = db.persist_stats().segments_faulted;
         for q in &pool {
             fingerprint = fold_outcome(fingerprint, &db.answer(q));
         }
+        let pool_faults = db.persist_stats().segments_faulted - faults_before;
         let count = db.exact_count(None);
         let sum_bits = db.exact_sum(None, |t| t.measure(MeasureId(0))).to_bits();
         let query_wall_s = t0.elapsed().as_secs_f64();
-        BuildOut { db, build_wall_s, query_wall_s, fingerprint, count, sum_bits }
+        BuildOut { db, build_wall_s, query_wall_s, fingerprint, pool_faults, count, sum_bits }
     };
 
     let scratch =
@@ -1469,6 +1473,7 @@ fn persistence_tier() -> Json {
                 .field("inserts_per_sec", n as f64 / out.build_wall_s.max(f64::MIN_POSITIVE))
                 .field("segments_spilled", stats.segments_spilled)
                 .field("segments_faulted", stats.segments_faulted)
+                .field("faults_per_answer", out.pool_faults as f64 / pool.len() as f64)
                 .field("evictions", stats.evictions)
                 .field("bytes_on_disk", stats.bytes_on_disk)
                 .field("resident_segments", stats.resident_segments)

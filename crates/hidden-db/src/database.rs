@@ -830,7 +830,7 @@ impl HiddenDatabase {
                 topk.offer(self.store.score_at(slot), slot);
             }
         }
-        topk.finish(&self.store).outcome(&self.store)
+        topk.finish().outcome(&self.store)
     }
 
     /// Exact number of alive tuples matching `query` (root if `None`).
@@ -1018,7 +1018,7 @@ fn eval_root(store: &StoreCore, k: usize, config: EvalConfig, stats: &mut EvalSt
             }
         }
     }
-    topk.finish(store)
+    topk.finish()
 }
 
 /// One predicate: walk the posting list's segment runs best-first.
@@ -1045,7 +1045,7 @@ fn eval_single(
         }
         offer_run(query, store, run, &mut topk);
     }
-    topk.finish(store)
+    topk.finish()
 }
 
 /// The two rarest predicates of a multi-predicate query, by
@@ -1187,7 +1187,7 @@ fn eval_gallop(
             topk.offer(store.score_at(slot), slot);
         }
     }
-    topk.finish(store)
+    topk.finish()
 }
 
 /// Per-segment bitset intersection for dense list pairs: for each segment
@@ -1242,7 +1242,7 @@ fn eval_bitset(
             }
         }
     }
-    topk.finish(store)
+    topk.finish()
 }
 
 /// k-way block-max (WAND-style) intersection: *every* predicate list
@@ -1317,7 +1317,7 @@ fn eval_blockmax(
         stats.blocks_scanned += 1;
         intersect_block(query, store, &lists, blk, &mut topk, stats);
     }
-    topk.finish(store)
+    topk.finish()
 }
 
 /// Intersects one block across all predicate runs, feeding full matches
@@ -2277,6 +2277,78 @@ mod tests {
         drop(d);
         let re = HiddenDatabase::open_persistent(&cfg).unwrap();
         assert_eq!(re.len(), 2);
+        let _ = std::fs::remove_dir_all(&cfg.dir);
+    }
+
+    /// A paged pool whose top-200 pages span every segment: prices are
+    /// a key permutation, so the best tuples are scattered, and the
+    /// budget of 2 leaves the read cache one slot.
+    fn paged_scattered_pool(name: &str) -> (HiddenDatabase, crate::persist::PersistConfig) {
+        let cfg = persist_cfg(name, 2);
+        let schema = Schema::with_domain_sizes(&[2, 3], &["price"]).unwrap();
+        let mut d = HiddenDatabase::new(schema, 200, ScoringPolicy::ByMeasureDesc(MeasureId(0)));
+        d.enable_persist(&cfg).unwrap();
+        let n = (crate::store::SEGMENT_SLOTS * 4 + 500) as u64;
+        for key in 0..n {
+            let price = (key * 7919 % 10_007) as f64;
+            d.insert(t(key, (key % 2) as u32, (key % 3) as u32, price)).unwrap();
+        }
+        assert!(d.store.segment_count() >= 4);
+        (d, cfg)
+    }
+
+    /// Ranking a page reads no store data and materialising it reads in
+    /// slot order: an uncached answer faults each segment at most once
+    /// for the scan and once for the page, not once per rank.
+    #[test]
+    fn paged_answers_fault_each_segment_at_most_twice() {
+        let (mut d, cfg) = paged_scattered_pool("fault-once");
+        d.set_invalidation_policy(InvalidationPolicy::Disabled);
+        let bound = 2 * d.store.segment_count() as u64;
+        for probe in [ConjunctiveQuery::select_all(), q(&[(0, 1)]), q(&[(0, 1), (1, 2)])] {
+            let before = d.persist_stats().segments_faulted;
+            let out = d.answer(&probe);
+            assert!(out.is_overflow(), "{probe}: the page must be a full top-k");
+            let segs: std::collections::BTreeSet<usize> =
+                out.keys().map(|k| segment_of(d.store.slot_of(k).unwrap())).collect();
+            assert!(segs.len() >= 4, "{probe}: the page spans {} segments", segs.len());
+            let faults = d.persist_stats().segments_faulted - before;
+            assert!(faults <= bound, "{probe}: {faults} faults > {bound}");
+            assert_eq!(out, d.reference_answer(&probe));
+        }
+        let _ = std::fs::remove_dir_all(&cfg.dir);
+    }
+
+    /// Revalidating a demoted overflow entry sweeps its page and the
+    /// churned slots in slot order: at most one fault per segment.
+    #[test]
+    fn paged_revalidation_faults_each_segment_at_most_once() {
+        let (mut d, cfg) = paged_scattered_pool("revalidate-once");
+        let root = ConjunctiveQuery::select_all();
+        let page = d.answer(&root);
+        assert!(page.is_overflow());
+        // Below-the-floor churn in one segment: delete low-priced
+        // tuples and insert replacements that rank under the floor.
+        let base = crate::store::SEGMENT_SLOTS as u64;
+        let mut batch = UpdateBatch::empty();
+        for key in (base..base + 400).filter(|k| k * 7919 % 10_007 < 100).take(3) {
+            batch = batch.delete(TupleKey(key));
+        }
+        for key in 0..3u64 {
+            batch = batch.insert(t(1_000_000 + key, 0, 0, -1.0));
+        }
+        d.apply(batch).unwrap();
+        assert_eq!(d.memo_stale_len(), 1, "the churn spares the page and demotes the entry");
+        let before = d.persist_stats().segments_faulted;
+        let again = d.answer(&root);
+        let faults = d.persist_stats().segments_faulted - before;
+        assert_eq!(d.memo_stats().resurrected, 1);
+        assert_eq!(again, page);
+        assert!(
+            faults <= d.store.segment_count() as u64,
+            "{faults} faults > {}",
+            d.store.segment_count()
+        );
         let _ = std::fs::remove_dir_all(&cfg.dir);
     }
 

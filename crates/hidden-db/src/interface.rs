@@ -146,10 +146,8 @@ impl CachedEval {
         if self.slots.is_empty() {
             return QueryOutcome::Underflow;
         }
-        let views = self
-            .views
-            .get_or_insert_with(|| self.slots.iter().map(|&s| store.view(s)).collect())
-            .clone();
+        let views =
+            self.views.get_or_insert_with(|| store.views_in_slot_order(&self.slots)).clone();
         if self.overflow {
             QueryOutcome::Overflow(views)
         } else {
@@ -218,14 +216,18 @@ impl TopK {
             }
     }
 
-    /// Materialises the evaluation: page slots best-first, plus the
-    /// match count and page floor the memo's revalidation anchors on.
-    pub(crate) fn finish(self, store: &StoreCore) -> CachedEval {
-        let mut slots: Vec<Slot> = self.heap.into_iter().map(|Reverse((_, s))| s).collect();
-        // Best-first: sort by score descending (ties by slot for
-        // determinism).
-        slots.sort_unstable_by_key(|&s| Reverse((store.score_at(s), s)));
-        let floor = slots.last().map_or(u64::MAX, |&s| store.score_at(s));
+    /// Materialises the evaluation: page slots best-first — score
+    /// descending, ties by slot descending, the total `(score, slot)`
+    /// order — plus the match count and page floor (the last entry's
+    /// score) the memo's revalidation anchors on. Ranks from the heap's
+    /// own `(score, slot)` pairs, so it reads no store data: on a paged
+    /// store, a score lookup per comparison would fault segments in
+    /// page-rank order.
+    pub(crate) fn finish(self) -> CachedEval {
+        // Ascending `Reverse((score, slot))` is descending `(score, slot)`.
+        let ranked = self.heap.into_sorted_vec();
+        let floor = ranked.last().map_or(u64::MAX, |&Reverse((score, _))| score);
+        let slots: Vec<Slot> = ranked.into_iter().map(|Reverse((_, s))| s).collect();
         let mut eval = CachedEval::new(self.matched > self.k, slots);
         eval.matched = self.matched;
         eval.floor = floor;
@@ -279,7 +281,7 @@ mod tests {
                 topk.offer(store.score_at(slot), slot);
             }
         }
-        topk.finish(store)
+        topk.finish()
     }
 
     fn eval_all(q: &ConjunctiveQuery, store: &Store, k: usize) -> CachedEval {
@@ -365,6 +367,28 @@ mod tests {
         let mut zero = TopK::new(0);
         zero.offer(1, 0);
         assert!(zero.can_stop(u64::MAX));
+    }
+
+    #[test]
+    fn finish_ranks_score_desc_then_slot_desc_with_ties() {
+        // 40 slots share 4 scores, offered out of slot order: heavy ties,
+        // so the slot tie-break decides most ranks.
+        let offered: Vec<(u64, Slot)> =
+            (0..40u32).map(|i| i * 17 % 40).map(|s| (u64::from(s * 7 % 4), s)).collect();
+        let mut brute = offered.clone();
+        brute.sort_unstable_by(|a, b| b.cmp(a));
+        for k in [0, 1, 5, 13, 40, 50] {
+            let mut topk = TopK::new(k);
+            for &(score, slot) in &offered {
+                topk.offer(score, slot);
+            }
+            let want = &brute[..k.min(brute.len())];
+            let eval = topk.finish();
+            assert_eq!(eval.slots, want.iter().map(|&(_, s)| s).collect::<Vec<_>>(), "k = {k}");
+            assert_eq!(eval.floor, want.last().map_or(u64::MAX, |&(score, _)| score), "k = {k}");
+            assert_eq!(eval.matched, brute.len());
+            assert_eq!(eval.overflow, brute.len() > k);
+        }
     }
 
     #[test]

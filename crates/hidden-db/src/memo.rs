@@ -597,23 +597,33 @@ impl QueryMemo {
         }
         // Page integrity: guaranteed untouched by the demotion rules;
         // the alive sweep is a cheap belt-and-braces re-check, and debug
-        // builds verify the full match.
-        if eval.slots.iter().any(|&s| !store.is_alive(s)) {
-            debug_assert!(false, "stale entry's page slot died — demotion invariant broken");
-            return false;
+        // builds verify the full match in the same pass. This sweep and
+        // the floor check walk slot-sorted copies, so a paged store
+        // faults each segment at most once per pass.
+        let mut page = eval.slots.clone();
+        page.sort_unstable();
+        for &s in &page {
+            if !store.is_alive(s) {
+                debug_assert!(false, "stale entry's page slot died — demotion invariant broken");
+                return false;
+            }
+            debug_assert!(
+                slot_matches(&entry.query, store, s),
+                "stale entry's page drifted — demotion invariant broken"
+            );
         }
-        debug_assert!(
-            eval.slots.iter().all(|&s| slot_matches(&entry.query, store, s)),
-            "stale entry's page drifted — demotion invariant broken"
-        );
         // Floor check: no churned location can displace a page slot.
         // Only the state at lookup matters — the entry was never served
         // while stale, so transient occupants are irrelevant.
         match &entry.touched {
             TouchedSet::Empty => true,
-            TouchedSet::Slots(slots) => slots
-                .iter()
-                .all(|&s| !slot_matches(&entry.query, store, s) || store.score_at(s) < eval.floor),
+            TouchedSet::Slots(slots) => {
+                let mut touched = slots.clone();
+                touched.sort_unstable();
+                touched.iter().all(|&s| {
+                    !slot_matches(&entry.query, store, s) || store.score_at(s) < eval.floor
+                })
+            }
             TouchedSet::Segments(segs) => segs.iter().all(|&seg| {
                 (seg as usize) >= store.segment_count()
                     || store.segment_max_score(seg as usize) < eval.floor

@@ -164,9 +164,17 @@ impl Geometry {
     }
 
     /// Deserialises one region back into a resident [`SegmentData`].
-    fn decode(&self, buf: &[u8]) -> SegmentData {
-        let rows = u64::from_le_bytes(buf[0..8].try_into().unwrap()) as usize;
-        assert!(rows <= SEGMENT_SLOTS, "persist: corrupt region (rows {rows})");
+    /// Errors with [`io::ErrorKind::InvalidData`] when the row-count
+    /// header is corrupt (more rows than a segment holds).
+    fn decode(&self, buf: &[u8]) -> io::Result<SegmentData> {
+        let rows = u64::from_le_bytes(buf[0..8].try_into().unwrap());
+        if rows > SEGMENT_SLOTS as u64 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("persist: corrupt region (rows {rows} > {SEGMENT_SLOTS})"),
+            ));
+        }
+        let rows = rows as usize;
         let mut off = 8;
         let mut keys = Vec::with_capacity(rows);
         for i in 0..rows {
@@ -201,7 +209,7 @@ impl Geometry {
             measures.push(col);
             off += 8 * SEGMENT_SLOTS;
         }
-        SegmentData { columns, measures, keys, scores, alive, evicted: false }
+        Ok(SegmentData { columns, measures, keys, scores, alive, evicted: false })
     }
 }
 
@@ -237,7 +245,7 @@ impl PagerInner {
         self.buf.resize(geom.region_len, 0);
         self.file.seek(SeekFrom::Start(geom.region_offset(seg)))?;
         self.file.read_exact(&mut self.buf)?;
-        Ok(geom.decode(&self.buf))
+        geom.decode(&self.buf)
     }
 
     fn write_region(&mut self, geom: &Geometry, seg: usize, data: &SegmentData) -> io::Result<()> {
@@ -602,13 +610,40 @@ mod tests {
         let mut buf = Vec::new();
         geom.encode(&data, &mut buf);
         assert_eq!(buf.len(), geom.region_len);
-        let back = geom.decode(&buf);
+        let back = geom.decode(&buf).unwrap();
         assert_eq!(back.keys, data.keys);
         assert_eq!(back.scores, data.scores);
         assert_eq!(back.alive, data.alive);
         assert_eq!(back.columns, data.columns);
         assert_eq!(back.measures, data.measures);
         assert!(!back.evicted);
+    }
+
+    #[test]
+    fn corrupt_row_count_is_invalid_data_not_a_panic() {
+        let geom = Geometry::new(1, 0);
+        let mut data = SegmentData::empty(1, 0);
+        data.push_row(&[crate::value::ValueId(3)], &[], 7, 9);
+        let mut buf = Vec::new();
+        geom.encode(&data, &mut buf);
+        buf[0..8].copy_from_slice(&(SEGMENT_SLOTS as u64 + 1).to_le_bytes());
+        let err = geom.decode(&buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // The same corruption on disk surfaces through the write-path
+        // fault as an error.
+        let dir = temp_dir("corrupt-rows");
+        let pager = Pager::open(&dir, 1, 0, 2).unwrap();
+        pager.ensure_segments(1);
+        pager.spill(0, &data).unwrap();
+        {
+            let mut f = OpenOptions::new().write(true).open(dir.join(SEGMENTS_FILE)).unwrap();
+            f.seek(SeekFrom::Start(geom.region_offset(0))).unwrap();
+            f.write_all(&u64::MAX.to_le_bytes()).unwrap();
+        }
+        let err = pager.take_for_write(0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

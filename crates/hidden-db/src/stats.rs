@@ -128,7 +128,11 @@ pub struct PersistStats {
     /// Segments written back and evicted from the writer's in-core set.
     pub segments_spilled: u64,
     /// Segments read back from the region file (write-path reclaims and
-    /// read-path cache misses; cache hits don't count).
+    /// read-path cache misses; cache hits don't count). Each fault reads
+    /// and decodes a whole region. Per-slot reads over a result page
+    /// (materialisation, memo revalidation) walk slots in ascending
+    /// order, so one such pass faults each segment at most once; page
+    /// ranking reads no store data at all.
     pub segments_faulted: u64,
     /// Entries dropped from the pager's read cache by its CLOCK sweep.
     pub evictions: u64,

@@ -552,6 +552,21 @@ impl StoreCore {
         TupleView::new(TupleKey(data.keys[off]), values, measures)
     }
 
+    /// Materialises the views of `slots`, in the order given, but reads
+    /// them in ascending slot order. A page ranked by score hops between
+    /// segments on almost every slot, and on a paged store each hop past
+    /// the read cache is a full segment fault; slot order visits each
+    /// segment once, holding one segment view at a time.
+    pub(crate) fn views_in_slot_order(&self, slots: &[Slot]) -> Arc<[TupleView]> {
+        let mut order: Vec<usize> = (0..slots.len()).collect();
+        order.sort_unstable_by_key(|&i| slots[i]);
+        let mut views: Vec<Option<TupleView>> = (0..slots.len()).map(|_| None).collect();
+        for i in order {
+            views[i] = Some(self.view(slots[i]));
+        }
+        views.into_iter().map(|v| v.expect("every index is visited once")).collect()
+    }
+
     /// Iterates over the slots of all alive tuples.
     pub fn alive_slots(&self) -> impl Iterator<Item = Slot> + '_ {
         (0..self.segs.len()).flat_map(move |seg| {

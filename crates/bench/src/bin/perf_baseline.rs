@@ -54,14 +54,7 @@
 //!     accuracy decays gracefully as the rate climbs). The interface
 //!     microbench also gains a `mutation_throughput_ok` floor pinning
 //!     the PR 5 mutation-path regression fixed by PR 6.
-//! 11. **Shared service** (PR 7) — the concurrent `DbService`: 1/2/4/8
-//!     client threads issue deterministic query scripts against a
-//!     snapshot pinned at epoch 0 while a writer thread churns the
-//!     service through the apply queue (with pressure-triggered
-//!     auto-compaction enabled). Every client's answer fingerprint must
-//!     equal the one a private database frozen at epoch 0 produces
-//!     (`shared_service_bit_identical`), and aggregate read throughput
-//!     is recorded per client count.
+//! 11. *(Removed together with the concurrent database service.)*
 //! 12. **K-way block-max intersection** (PR 8) — conjunctions of
 //!     2/3/4/6 half-density predicates (every posting list ≈ N/2, the
 //!     regime where two-rarest + residual re-check pays the most per
@@ -121,10 +114,7 @@ use hidden_db::session::SearchSession;
 use hidden_db::tuple::Tuple;
 use hidden_db::updates::UpdateBatch;
 use hidden_db::value::{MeasureId, TupleKey};
-use hidden_db::{
-    AutoMaintain, DbService, EvalConfig, IntersectPolicy, InvalidationPolicy, QueryOutcome,
-    SearchBackend,
-};
+use hidden_db::{EvalConfig, IntersectPolicy, InvalidationPolicy, QueryOutcome};
 use query_tree::{drill_from_root, enumerate_all, QueryTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,8 +144,6 @@ fn main() {
     let revalidation = revalidation_workload();
     eprintln!(">>> perf_baseline: fault injection / recovery stack");
     let faults = fault_recovery(flags.pool());
-    eprintln!(">>> perf_baseline: shared concurrent service");
-    let shared = shared_service();
     eprintln!(">>> perf_baseline: out-of-core persistence tier");
     let persistence = persistence_tier();
     eprintln!(">>> perf_baseline: bootstrap resampling engine");
@@ -185,8 +173,7 @@ fn main() {
                     "section_threads",
                     Json::obj()
                         .field("track_workload", flags.pool().resolve(8))
-                        .field("ground_truth_parallelism", "1, 2, 4, 7")
-                        .field("shared_service_clients", "1, 2, 4, 8"),
+                        .field("ground_truth_parallelism", "1, 2, 4, 7"),
                 ),
         )
         .field("interface_microbench", micro)
@@ -200,7 +187,6 @@ fn main() {
         .field("compaction", compaction)
         .field("revalidation", revalidation)
         .field("fault_recovery", faults)
-        .field("shared_service", shared)
         .field("persistence", persistence)
         .field("bootstrap", bootstrap);
     std::fs::write(&flags.out, report.pretty())
@@ -1197,137 +1183,6 @@ fn fault_recovery(pool: Threads) -> Json {
 
 fn num_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
-}
-
-/// PR 7: the shared concurrent service. For each client count `C` in
-/// {1, 2, 4, 8}, `C` reader threads run deterministic per-client query
-/// scripts against a session pinned to the epoch-0 snapshot while a
-/// writer thread churns the service through the apply queue (deletes +
-/// inserts every batch, pressure-triggered auto-compaction on). Each
-/// client's answer fingerprint must equal the one computed from a
-/// private `HiddenDatabase` frozen at epoch 0 — at every client count
-/// and whatever interleaving the scheduler produces
-/// (`shared_service_bit_identical`).
-fn shared_service() -> Json {
-    const N: usize = 10_000;
-    const K: usize = 100;
-    const ATTRS: usize = 12;
-    const SCRIPT_PASSES: usize = 4;
-    const CHURN_BATCHES: u64 = 50;
-    const DELETES_PER_BATCH: u64 = 20;
-    const CLIENTS: [usize; 4] = [1, 2, 4, 8];
-
-    let mut gen = AutosGenerator::with_attrs(ATTRS);
-    let mut rng = StdRng::seed_from_u64(0x5E4C);
-    let reference = load_database(&mut gen, &mut rng, N, K, ScoringPolicy::default());
-    let pool = query_pool(&reference.schema().clone());
-    let script_len = SCRIPT_PASSES * pool.len();
-
-    // Expected fingerprints per client slot, from a private copy frozen
-    // at epoch 0. Client `c` walks the pool starting at offset `c * 17`
-    // so concurrent clients never ride each other's issue order.
-    let max_clients = *CLIENTS.iter().max().unwrap();
-    let expected: Vec<u64> = (0..max_clients)
-        .map(|c| {
-            let mut frozen = reference.clone();
-            let mut fp = 0xcbf2_9ce4_8422_2325u64;
-            for i in 0..script_len {
-                let q = &pool[(i + c * 17) % pool.len()];
-                fp = fold_outcome(fp, &frozen.answer(q));
-            }
-            fp
-        })
-        .collect();
-
-    let mut bit_identical = true;
-    let mut per_clients = Json::obj();
-    let mut single_qps = 0.0;
-    let mut last_stats = hidden_db::ServiceStats::default();
-    let mut last_memo = hidden_db::SharedMemoStats::default();
-    for &clients in &CLIENTS {
-        // A fresh service per client count so every run starts with a
-        // cold shared memo and identical churn, making the throughput
-        // numbers comparable.
-        let service = DbService::with_auto_maintain(
-            reference.clone(),
-            AutoMaintain::Pressure { threshold: 256 },
-        );
-        let snap0 = service.snapshot();
-        let t0 = Instant::now();
-        let fingerprints: Vec<u64> = std::thread::scope(|scope| {
-            let writer = service.clone();
-            scope.spawn(move || {
-                let mut gen = AutosGenerator::with_attrs(ATTRS);
-                let mut rng = StdRng::seed_from_u64(0xC402);
-                let mut fresh_key = 40_000_000u64;
-                for round in 0..CHURN_BATCHES {
-                    let mut batch = UpdateBatch::empty();
-                    let base = round * DELETES_PER_BATCH;
-                    for key in base..base + DELETES_PER_BATCH {
-                        batch = batch.delete(TupleKey(key));
-                    }
-                    for _ in 0..DELETES_PER_BATCH {
-                        let t = gen.make(&mut rng);
-                        fresh_key += 1;
-                        batch = batch.insert(Tuple::new(
-                            TupleKey(fresh_key),
-                            t.values().to_vec(),
-                            t.measures().to_vec(),
-                        ));
-                    }
-                    writer.apply(batch).expect("churn batch is valid");
-                }
-            });
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    let mut session = service.session_at(std::sync::Arc::clone(&snap0), u64::MAX);
-                    let pool = &pool;
-                    scope.spawn(move || {
-                        let mut fp = 0xcbf2_9ce4_8422_2325u64;
-                        for i in 0..script_len {
-                            let q = &pool[(i + c * 17) % pool.len()];
-                            fp = fold_outcome(fp, &session.issue(q).expect("unlimited budget"));
-                        }
-                        fp
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
-        });
-        let wall = t0.elapsed();
-        for (c, fp) in fingerprints.iter().enumerate() {
-            bit_identical &= *fp == expected[c];
-        }
-        let qps = (clients * script_len) as f64 / wall.as_secs_f64();
-        if clients == 1 {
-            single_qps = qps;
-        }
-        per_clients = per_clients.field(
-            &clients.to_string(),
-            Json::obj()
-                .field("wall_s", wall.as_secs_f64())
-                .field("aggregate_queries_per_sec", qps)
-                .field("scaling_vs_1", qps / single_qps.max(f64::MIN_POSITIVE)),
-        );
-        last_stats = service.stats();
-        last_memo = service.memo_stats();
-    }
-
-    Json::obj()
-        .field("population", N)
-        .field("k", K)
-        .field("distinct_queries", pool.len())
-        .field("script_len_per_client", script_len)
-        .field("churn_batches", CHURN_BATCHES)
-        .field("auto_maintain", "pressure:256")
-        .field("per_clients", per_clients)
-        .field("batches_applied", last_stats.batches_applied)
-        .field("epochs_published", last_stats.epochs_published)
-        .field("auto_maintain_runs", last_stats.auto_maintain_runs)
-        .field("memo_hits", last_memo.hits)
-        .field("memo_misses", last_memo.misses)
-        .field("memo_hit_rate", last_memo.hit_rate())
-        .field("shared_service_bit_identical", bit_identical)
 }
 
 /// PR 9: the out-of-core persistence tier on a fig12-style size sweep.

@@ -14,11 +14,6 @@
 //!   interposes the deterministic FaultyBackend + ResilientBackend stack
 //!   with a per-query fault probability of 0.2 (faults only consume
 //!   budget — recovered runs stay on the fault-free drill outcomes);
-//! * `--auto-maintain off|pressure:<t>` — pressure-triggered automatic
-//!   compaction: `off` (the default) never compacts on its own;
-//!   `pressure:64` compacts after any round that leaves a segment with
-//!   pressure (stale bound ops + dead slots) ≥ 64. Outcome-invariant
-//!   like `--maintain`.
 //! * `--persist <dir>,resident:<N>` — attach the out-of-core persistence
 //!   tier to every trial database: segment columns live in a region file
 //!   under `<dir>` (one subdirectory per trial) with at most `N`
@@ -29,7 +24,7 @@
 //!   columns entirely. The point estimates are untouched either way —
 //!   resampling happens after the experiment, never inside it.
 
-use hidden_db::{AutoMaintain, InvalidationPolicy, PersistConfig};
+use hidden_db::{InvalidationPolicy, PersistConfig};
 use workloads::DeleteSpec;
 
 /// Interface fault-injection mode for the experiment loop.
@@ -78,8 +73,6 @@ pub struct Cli {
     pub maintain: Option<Option<usize>>,
     /// Fault-injection mode override.
     pub faults: Option<FaultsMode>,
-    /// Pressure-triggered automatic maintenance override.
-    pub auto_maintain: Option<AutoMaintain>,
     /// Out-of-core persistence tier for trial databases.
     pub persist: Option<PersistConfig>,
     /// Bootstrap CI override (`Some(None)` = explicit `off`,
@@ -132,12 +125,6 @@ impl Cli {
                         }
                     })
                 }
-                "--auto-maintain" => {
-                    cli.auto_maintain = Some(
-                        AutoMaintain::parse(&value("--auto-maintain"))
-                            .unwrap_or_else(|e| panic!("{e}")),
-                    )
-                }
                 "--persist" => {
                     cli.persist = Some(
                         PersistConfig::parse(&value("--persist")).unwrap_or_else(|e| panic!("{e}")),
@@ -159,7 +146,6 @@ impl Cli {
                         "flags: --scale quick|default|paper  --trials N  --rounds N  \
                          --budget N  --seed N  \
                          --maintain off|N  --faults off|seeded:<rate>  \
-                         --auto-maintain off|pressure:<t>  \
                          --persist <dir>,resident:<N>  --bootstrap off|N"
                     );
                     std::process::exit(0);
@@ -206,10 +192,6 @@ pub struct BaseCfg {
     /// entirely; `Seeded` wraps every per-round session in the
     /// deterministic FaultyBackend + ResilientBackend stack.
     pub faults: FaultsMode,
-    /// Pressure-triggered automatic compaction (PR 7): after each round's
-    /// updates, compact if any segment's pressure reached the threshold.
-    /// Outcome-invariant like `maintain_slots`.
-    pub auto_maintain: AutoMaintain,
     /// Out-of-core persistence tier (PR 9): when set, every trial
     /// database pages its segments through a region file in a unique
     /// subdirectory of `dir`, holding at most `resident_segments` in
@@ -239,7 +221,6 @@ impl BaseCfg {
                 memo_policy: InvalidationPolicy::Incremental,
                 maintain_slots: None,
                 faults: FaultsMode::Off,
-                auto_maintain: AutoMaintain::Off,
                 persist: None,
                 bootstrap_replicates: Some(1_000),
             },
@@ -257,7 +238,6 @@ impl BaseCfg {
                 memo_policy: InvalidationPolicy::Incremental,
                 maintain_slots: None,
                 faults: FaultsMode::Off,
-                auto_maintain: AutoMaintain::Off,
                 persist: None,
                 bootstrap_replicates: Some(1_000),
             },
@@ -274,7 +254,6 @@ impl BaseCfg {
                 memo_policy: InvalidationPolicy::Incremental,
                 maintain_slots: None,
                 faults: FaultsMode::Off,
-                auto_maintain: AutoMaintain::Off,
                 persist: None,
                 bootstrap_replicates: Some(1_000),
             },
@@ -300,9 +279,6 @@ impl BaseCfg {
         }
         if let Some(f) = cli.faults {
             self.faults = f;
-        }
-        if let Some(a) = cli.auto_maintain {
-            self.auto_maintain = a;
         }
         if let Some(p) = &cli.persist {
             self.persist = Some(p.clone());
@@ -412,27 +388,6 @@ mod tests {
     #[should_panic(expected = "seeded:<rate in [0,1]>")]
     fn out_of_range_fault_rate_panics() {
         parse(&["--faults", "seeded:1.5"]);
-    }
-
-    #[test]
-    fn auto_maintain_flag_parses_and_applies() {
-        assert_eq!(
-            BaseCfg::from_cli(&parse(&[])).auto_maintain,
-            AutoMaintain::Off,
-            "off by default"
-        );
-        let cli = parse(&["--auto-maintain", "pressure:64"]);
-        assert_eq!(cli.auto_maintain, Some(AutoMaintain::Pressure { threshold: 64 }));
-        assert_eq!(BaseCfg::from_cli(&cli).auto_maintain, AutoMaintain::Pressure { threshold: 64 });
-        let cli = parse(&["--auto-maintain", "off"]);
-        assert_eq!(cli.auto_maintain, Some(AutoMaintain::Off));
-        assert_eq!(BaseCfg::from_cli(&cli).auto_maintain, AutoMaintain::Off);
-    }
-
-    #[test]
-    #[should_panic(expected = "off|pressure:<t>")]
-    fn bogus_auto_maintain_panics() {
-        parse(&["--auto-maintain", "sometimes"]);
     }
 
     #[test]

@@ -593,11 +593,9 @@ mod tests {
     /// panics or huge allocations.
     #[test]
     fn oversized_counts_rejected() {
-        let good = {
-            let mut buf = Vec::new();
-            write_snapshot(&churned_db(), &mut buf).unwrap();
-            buf
-        };
+        let db = churned_db();
+        let mut good = Vec::new();
+        write_snapshot(&db, &mut good).unwrap();
         // Find the offsets of the three leading store counts: they sit
         // right after magic(4) + version(4) + k(8) + policy(4+8) +
         // schema. Rather than hand-computing the schema length, corrupt
@@ -623,6 +621,30 @@ mod tests {
             }
         }
         assert!(rejected > 0, "corruption sweep never hit a validated field");
+
+        // The header prefix (`magic | version | k | policy | schema`)
+        // sizes every later allocation, so sweep all of it: each byte
+        // under three masks, including the high bytes of domain sizes.
+        let mut prefix = Vec::new();
+        write_policy(&mut prefix, db.scoring_policy()).unwrap();
+        write_schema(&mut prefix, db.schema()).unwrap();
+        let prefix_len = 4 + 4 + 8 + prefix.len();
+        for i in 0..prefix_len {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut buf = good.clone();
+                buf[i] ^= mask;
+                if let Err(e) = read_snapshot(&mut buf.as_slice()) {
+                    assert!(
+                        matches!(
+                            e.kind(),
+                            io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                        ),
+                        "byte {i} ^ {mask:#04x}: unexpected error kind {:?}",
+                        e.kind()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -373,29 +373,10 @@ impl HiddenDatabase {
     }
 
     /// The worst per-segment maintenance pressure:
-    /// `max(stale_ops + dead slots)` over all store segments. The
-    /// service's automatic maintenance trigger
-    /// ([`crate::service::AutoMaintain::Pressure`]) fires `compact` when
-    /// this crosses its threshold.
+    /// `max(stale_ops + dead slots)` over all store segments — how much
+    /// a [`HiddenDatabase::compact`] would currently have to do.
     pub fn max_segment_pressure(&self) -> u32 {
         self.store.max_segment_pressure()
-    }
-
-    /// The pieces of an immutable epoch snapshot: pays every pending
-    /// posting-list sort, then hands out cheap clones of the shared
-    /// read-side state. Consumed by [`crate::service::DbSnapshot`].
-    pub(crate) fn snapshot_parts(
-        &mut self,
-    ) -> (Schema, StoreCore, InvertedIndex, usize, u64, EvalConfig) {
-        self.index.ensure_all_sorted();
-        (
-            self.schema.clone(),
-            self.store.core().clone(),
-            self.index.clone(),
-            self.k,
-            self.version,
-            self.eval_config,
-        )
     }
 
     /// `|D|`: number of alive tuples.
@@ -791,13 +772,12 @@ impl HiddenDatabase {
     /// ([`evaluate_query`]) over disjoint borrows of store/index/stats.
     fn evaluate_uncached(&mut self, query: &ConjunctiveQuery) -> CachedEval {
         // Sorting up front (rather than inside the engine) is what lets
-        // snapshot readers share the engine with `&self` access: by the
-        // time a snapshot is published, `ensure_all_sorted` has paid
-        // every pending sort. Sorting *all* of the query's lists (not
-        // just the eventual drivers) is outcome-invariant — the top-`k`
-        // page is independent of driver choice (oracle-pinned) — and
-        // keeps the owner path's driver ranking on the same post-dedup
-        // estimates a snapshot reader sees.
+        // the engine take the index by shared reference, alongside
+        // disjoint borrows of the store and the eval counters. Sorting
+        // *all* of the query's lists (not just the eventual drivers) is
+        // outcome-invariant — the top-`k` page is independent of driver
+        // choice (oracle-pinned) — and ranks drivers on post-dedup
+        // lengths whichever lists end up driving.
         for p in query.predicates() {
             self.index.ensure_sorted(p.attr, p.value);
         }
@@ -961,11 +941,11 @@ impl HiddenDatabase {
     }
 }
 
-/// The uncached evaluation engine, shared verbatim by the owner path
-/// ([`HiddenDatabase::answer`]) and snapshot readers
-/// ([`crate::service::DbSnapshot`]). Requires the posting list of every
-/// query predicate to be sorted already (the owner path sorts on demand;
-/// snapshots are published fully sorted). Dispatch:
+/// The uncached evaluation engine behind [`HiddenDatabase::answer`]. A
+/// free function over shared borrows of the store and index, so the
+/// caller can hand it its eval counters mutably at the same time.
+/// Requires the posting list of every query predicate to be sorted
+/// already (`evaluate_uncached` sorts them on demand). Dispatch:
 ///
 /// * **root** — segment-ordered alive scan (descending max-score
 ///   order so early exits fire as soon as the page stabilises);

@@ -17,6 +17,8 @@ pub enum SchemaError {
         /// The offending attribute.
         attr: AttrId,
     },
+    /// Total domain size `Σ|U_i|` above [`crate::schema::MAX_TOTAL_DOMAIN`].
+    DomainTooLarge(u64),
 }
 
 impl fmt::Display for SchemaError {
@@ -26,6 +28,9 @@ impl fmt::Display for SchemaError {
             Self::TooManyAttributes(n) => write!(f, "too many attributes: {n}"),
             Self::TooManyMeasures(n) => write!(f, "too many measures: {n}"),
             Self::EmptyDomain { attr } => write!(f, "attribute {attr} has an empty domain"),
+            Self::DomainTooLarge(n) => {
+                write!(f, "total domain size {n} exceeds {}", crate::schema::MAX_TOTAL_DOMAIN)
+            }
         }
     }
 }

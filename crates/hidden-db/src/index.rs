@@ -24,17 +24,6 @@
 //! same value while its stale posting survived) are **adjacent**, so
 //! exactly-once candidate emission is a one-comparison skip instead of a
 //! hash set.
-//!
-//! ## Snapshot sharing
-//!
-//! Each posting list lives behind an [`Arc`], so cloning the whole index
-//! into an epoch snapshot is one reference-count bump per list; mutation
-//! goes through [`Arc::make_mut`] (copy-on-write at list granularity).
-//! Before a snapshot is published, [`InvertedIndex::ensure_all_sorted`]
-//! pays any pending lazy sorts so snapshot readers never need `&mut`
-//! access — a published list's run metadata is immutable.
-
-use std::sync::Arc;
 
 use crate::schema::Schema;
 use crate::store::{block_of, segment_of, Slot, StoreCore, BLOCKS_PER_SEGMENT, BLOCK_SLOTS};
@@ -329,20 +318,16 @@ pub struct IndexMaintenance {
 /// Inverted index over all (attribute, value) pairs of a schema.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
-    /// `lists[a]` has one `Arc`-shared posting list per value of
-    /// attribute `a`; snapshots clone the `Arc`s, mutation copies on
-    /// write.
-    lists: Vec<Vec<Arc<PostingList>>>,
+    /// `lists[a]` has one posting list per value of attribute `a`.
+    lists: Vec<Vec<PostingList>>,
 }
 
 impl InvertedIndex {
     /// Creates an empty index shaped after `schema`.
     pub fn new(schema: &Schema) -> Self {
-        // All empty lists share one allocation until first written.
-        let empty = Arc::new(PostingList::default());
         let lists = schema
             .attr_ids()
-            .map(|a| vec![Arc::clone(&empty); schema.domain_size(a) as usize])
+            .map(|a| vec![PostingList::default(); schema.domain_size(a) as usize])
             .collect();
         Self { lists }
     }
@@ -355,7 +340,7 @@ impl InvertedIndex {
     /// they are filtered out on scan because the column no longer matches.
     pub fn insert(&mut self, slot: Slot, values: &[ValueId], score: u64) {
         for (a, &v) in values.iter().enumerate() {
-            Arc::make_mut(&mut self.lists[a][v.index()]).push(slot, score);
+            self.lists[a][v.index()].push(slot, score);
         }
     }
 
@@ -368,7 +353,7 @@ impl InvertedIndex {
     /// like the store's segment bounds.
     pub fn note_score_raise(&mut self, slot: Slot, values: &[ValueId], score: u64) {
         for (a, &v) in values.iter().enumerate() {
-            Arc::make_mut(&mut self.lists[a][v.index()]).raise_block_bound(slot, score);
+            self.lists[a][v.index()].raise_block_bound(slot, score);
         }
     }
 
@@ -376,7 +361,7 @@ impl InvertedIndex {
     /// tombstone counters and compacting lists that crossed the threshold.
     pub fn delete(&mut self, slot: Slot, values: &[ValueId], store: &StoreCore) {
         for (a, &v) in values.iter().enumerate() {
-            let list = Arc::make_mut(&mut self.lists[a][v.index()]);
+            let list = &mut self.lists[a][v.index()];
             list.dead += 1;
             let len = list.slots.len();
             if len >= COMPACT_MIN_LEN && (list.dead as f64) > COMPACT_DEAD_FRACTION * len as f64 {
@@ -429,7 +414,6 @@ impl InvertedIndex {
                     continue;
                 }
                 *budget -= cost;
-                let list = Arc::make_mut(list);
                 let before = list.slots.len();
                 Self::compact(list, a, ValueId(v as u32), store);
                 report.lists_compacted += 1;
@@ -450,28 +434,7 @@ impl InvertedIndex {
     /// append (slot reuse) left it dirty. Amortised cost: appends are
     /// ascending in the common case, so this is usually a flag check.
     pub fn ensure_sorted(&mut self, attr: AttrId, value: ValueId) {
-        let list = &mut self.lists[attr.index()][value.index()];
-        // Guard before `make_mut`: a clean list must not be copied just
-        // to discover there is nothing to do.
-        if !list.sorted && !list.slots.is_empty() {
-            Arc::make_mut(list).ensure_sorted();
-        }
-    }
-
-    /// Pays every pending lazy sort in the index, in deterministic
-    /// `(attr, value)` order. Called right before an epoch snapshot is
-    /// published so snapshot readers can use [`sorted_postings`]
-    /// (`&self`) without ever needing a mutable sort pass.
-    ///
-    /// [`sorted_postings`]: InvertedIndex::sorted_postings
-    pub fn ensure_all_sorted(&mut self) {
-        for attr_lists in &mut self.lists {
-            for list in attr_lists.iter_mut() {
-                if !list.sorted && !list.slots.is_empty() {
-                    Arc::make_mut(list).ensure_sorted();
-                }
-            }
-        }
+        self.lists[attr.index()][value.index()].ensure_sorted();
     }
 
     /// Sorted view of the posting list for `(attr, value)` with its
@@ -547,18 +510,18 @@ impl InvertedIndex {
                     || list.dead > 0
                     || !list.runs.is_empty()
                     || !list.blocks.is_empty();
-                nontrivial.then_some((a, v, &**list))
+                nontrivial.then_some((a, v, list))
             })
         })
     }
 
     /// Rebuilds an index from restored snapshot lists (codec v2). Lists
-    /// not named keep the shared default-empty state, exactly as
+    /// not named keep the default empty state, exactly as
     /// [`InvertedIndex::new`] makes them.
     pub(crate) fn from_restored(schema: &Schema, lists: Vec<(usize, usize, PostingList)>) -> Self {
         let mut idx = Self::new(schema);
         for (a, v, list) in lists {
-            idx.lists[a][v] = Arc::new(list);
+            idx.lists[a][v] = list;
         }
         idx
     }
@@ -568,14 +531,6 @@ impl InvertedIndex {
     pub fn rebuild(&mut self, store: &StoreCore) {
         for attr_lists in &mut self.lists {
             for list in attr_lists.iter_mut() {
-                if list.slots.is_empty()
-                    && list.runs.is_empty()
-                    && list.blocks.is_empty()
-                    && list.dead == 0
-                {
-                    continue;
-                }
-                let list = Arc::make_mut(list);
                 list.slots.clear();
                 list.runs.clear();
                 list.blocks.clear();
@@ -587,7 +542,7 @@ impl InvertedIndex {
             let score = store.score_at(slot);
             for (a, attr_lists) in self.lists.iter_mut().enumerate() {
                 let v = store.value_at(a, slot);
-                Arc::make_mut(&mut attr_lists[v as usize]).push(slot, score);
+                attr_lists[v as usize].push(slot, score);
             }
         }
     }

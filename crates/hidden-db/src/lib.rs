@@ -65,7 +65,6 @@ pub mod persist;
 pub mod query;
 pub mod ranking;
 pub mod schema;
-pub mod service;
 pub mod session;
 pub mod stats;
 pub mod store;
@@ -90,11 +89,8 @@ pub use persist::PersistConfig;
 pub use query::{ConjunctiveQuery, Predicate};
 pub use ranking::ScoringPolicy;
 pub use schema::{AttributeDef, MeasureDef, Schema};
-pub use service::{AutoMaintain, DbService, DbSnapshot, ServiceSession, ServiceStats};
 pub use session::{SearchBackend, SearchSession};
-pub use stats::{
-    EvalStats, InterfaceStats, MaintenanceStats, MemoStats, PersistStats, SharedMemoStats,
-};
+pub use stats::{EvalStats, InterfaceStats, MaintenanceStats, MemoStats, PersistStats};
 pub use store::{block_of, segment_of, BLOCKS_PER_SEGMENT, BLOCK_SLOTS, SEGMENT_SLOTS};
 pub use tuple::{Tuple, TupleView};
 pub use updates::{UpdateBatch, UpdateFootprint, UpdateSummary};

@@ -115,12 +115,10 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use crate::interface::{slot_matches, CachedEval, QueryOutcome};
+use crate::interface::{slot_matches, CachedEval};
 use crate::query::ConjunctiveQuery;
-use crate::stats::{MemoStats, SharedMemoStats};
+use crate::stats::MemoStats;
 use crate::store::{segment_of, Slot, Store};
 use crate::updates::UpdateFootprint;
 use crate::value::{AttrId, ValueId};
@@ -952,150 +950,6 @@ impl QueryMemo {
     /// Number of cached queries.
     pub(crate) fn len(&self) -> usize {
         self.len
-    }
-}
-
-// ===== shared concurrent memo (service layer) ===========================
-
-/// Shards of the shared memo. A power of two so the shard pick is a mask
-/// of the query fingerprint's low bits.
-const SHARED_MEMO_SHARDS: usize = 16;
-
-/// Per-shard entry cap: the shared memo as a whole admits about as many
-/// entries as the single-owner memo's [`DEFAULT_MEMO_CAPACITY`].
-const SHARED_SHARD_CAPACITY: usize = DEFAULT_MEMO_CAPACITY / SHARED_MEMO_SHARDS;
-
-/// One cached `(epoch, query) → outcome` binding. Entries are **never
-/// stale**: an epoch's snapshot is immutable, so the outcome of a query
-/// against it is fixed forever. The only lifecycle events are admission
-/// and eviction.
-struct SharedEntry {
-    epoch: u64,
-    query: ConjunctiveQuery,
-    outcome: QueryOutcome,
-}
-
-#[derive(Default)]
-struct SharedShard {
-    /// Fingerprint → entries. Collisions (same fingerprint, different
-    /// query or epoch) chain in the bucket and are resolved by equality.
-    buckets: HashMap<u64, Vec<SharedEntry>, BuildHasherDefault<IdentityHasher>>,
-    /// Total entries across buckets (the capacity signal).
-    len: usize,
-}
-
-/// The shared concurrent memo of [`crate::service::DbService`]: a sharded
-/// `(epoch, query) → QueryOutcome` map serving every session of the
-/// service.
-///
-/// Unlike [`QueryMemo`] there is **no invalidation machinery at all** —
-/// keying by epoch makes entries immutable, so the footprint journal,
-/// demotion, and revalidation have nothing to do here. What remains is
-/// admission control: when a shard fills, entries of *older* epochs are
-/// retired first (sessions pinned to old epochs simply re-evaluate — an
-/// eviction is never a correctness event), and if the shard is still full
-/// of current-epoch entries, new admissions are skipped.
-///
-/// Locking is per-shard (`Mutex`); the fingerprint's low bits pick the
-/// shard, so concurrent sessions asking different queries rarely contend.
-pub(crate) struct ConcurrentMemo {
-    shards: Box<[Mutex<SharedShard>]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    retired: AtomicU64,
-    admissions_skipped: AtomicU64,
-}
-
-impl ConcurrentMemo {
-    pub(crate) fn new() -> Self {
-        let shards = (0..SHARED_MEMO_SHARDS).map(|_| Mutex::new(SharedShard::default())).collect();
-        Self {
-            shards,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            retired: AtomicU64::new(0),
-            admissions_skipped: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    fn shard_of(hash: u64) -> usize {
-        (hash as usize) & (SHARED_MEMO_SHARDS - 1)
-    }
-
-    /// Looks up the outcome of `query` against epoch `epoch`. `hash` is
-    /// the caller's [`QueryMemo::hash_of`] fingerprint (computed once per
-    /// issue, exactly like the owner path).
-    pub(crate) fn get(
-        &self,
-        epoch: u64,
-        hash: u64,
-        query: &ConjunctiveQuery,
-    ) -> Option<QueryOutcome> {
-        let shard = self.shards[Self::shard_of(hash)].lock().expect("memo shard poisoned");
-        let found = shard.buckets.get(&hash).and_then(|bucket| {
-            bucket.iter().find(|e| e.epoch == epoch && e.query == *query).map(|e| e.outcome.clone())
-        });
-        drop(shard);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Admits `(epoch, query) → outcome`. When the shard is at capacity,
-    /// entries of strictly older epochs retire first; a shard still full
-    /// of same-or-newer entries skips the admission (correctness-neutral:
-    /// the session just re-evaluates next time).
-    pub(crate) fn insert(
-        &self,
-        epoch: u64,
-        hash: u64,
-        query: &ConjunctiveQuery,
-        outcome: QueryOutcome,
-    ) {
-        let mut shard = self.shards[Self::shard_of(hash)].lock().expect("memo shard poisoned");
-        if shard.len >= SHARED_SHARD_CAPACITY {
-            let before = shard.len;
-            shard.buckets.retain(|_, bucket| {
-                bucket.retain(|e| e.epoch >= epoch);
-                !bucket.is_empty()
-            });
-            shard.len = shard.buckets.values().map(Vec::len).sum();
-            self.retired.fetch_add((before - shard.len) as u64, Ordering::Relaxed);
-            if shard.len >= SHARED_SHARD_CAPACITY {
-                self.admissions_skipped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        let bucket = shard.buckets.entry(hash).or_default();
-        // Idempotent under races: two sessions that both missed may both
-        // insert; keep the first (outcomes are identical by construction).
-        if bucket.iter().any(|e| e.epoch == epoch && e.query == *query) {
-            return;
-        }
-        bucket.push(SharedEntry { epoch, query: query.clone(), outcome });
-        shard.len += 1;
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Service-wide lookup/admission counters.
-    pub(crate) fn stats(&self) -> SharedMemoStats {
-        SharedMemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            retired: self.retired.load(Ordering::Relaxed),
-            admissions_skipped: self.admissions_skipped.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Entries currently cached, across all shards.
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("memo shard poisoned").len).sum()
     }
 }
 

@@ -4,6 +4,14 @@
 use crate::errors::SchemaError;
 use crate::value::{AttrId, MeasureId, ValueId};
 
+/// Upper bound on a schema's total domain size `Σ|U_i|`. The inverted
+/// index allocates one posting list (~90 bytes) per domain value up
+/// front, so this caps that allocation at ~90 MB; it is what keeps a
+/// corrupt domain size in a snapshot from aborting the process on a
+/// multi-gigabyte allocation. Real search forms have domains of tens to
+/// thousands of values.
+pub const MAX_TOTAL_DOMAIN: u64 = 1 << 20;
+
 /// Definition of one categorical attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttributeDef {
@@ -60,7 +68,8 @@ pub struct Schema {
 
 impl Schema {
     /// Builds a schema, validating that every attribute has a non-empty
-    /// domain and that the attribute count fits the id space.
+    /// domain, that the attribute count fits the id space, and that the
+    /// total domain size is at most [`MAX_TOTAL_DOMAIN`].
     pub fn new(
         attributes: Vec<AttributeDef>,
         measures: Vec<MeasureDef>,
@@ -78,6 +87,10 @@ impl Schema {
             if attr.domain_size == 0 {
                 return Err(SchemaError::EmptyDomain { attr: AttrId(i as u16) });
             }
+        }
+        let total: u64 = attributes.iter().map(|a| u64::from(a.domain_size)).sum();
+        if total > MAX_TOTAL_DOMAIN {
+            return Err(SchemaError::DomainTooLarge(total));
         }
         Ok(Self { attributes, measures })
     }
@@ -169,6 +182,20 @@ mod tests {
         assert!(matches!(
             Schema::with_domain_sizes(&[2, 0], &[]),
             Err(SchemaError::EmptyDomain { attr: AttrId(1) })
+        ));
+    }
+
+    #[test]
+    fn rejects_oversized_total_domain() {
+        let half = (MAX_TOTAL_DOMAIN / 2) as u32;
+        assert!(Schema::with_domain_sizes(&[half, half], &[]).is_ok());
+        assert!(matches!(
+            Schema::with_domain_sizes(&[half, half, 1], &[]),
+            Err(SchemaError::DomainTooLarge(n)) if n == MAX_TOTAL_DOMAIN + 1
+        ));
+        assert!(matches!(
+            Schema::with_domain_sizes(&[u32::MAX; 3], &[]),
+            Err(SchemaError::DomainTooLarge(_))
         ));
     }
 

@@ -3,10 +3,9 @@
 //!
 //! Estimator crates are generic over [`SearchBackend`] so the same code
 //! runs against a plain per-round session, an intra-round session that
-//! interleaves updates with queries (constant-update model, §5.2), a
-//! [`crate::service::ServiceSession`] pinned to one epoch of the shared
-//! concurrent [`crate::service::DbService`], or any future adapter for a
-//! real web API.
+//! interleaves updates with queries (constant-update model, §5.2), the
+//! fault-injecting and retrying wrappers in [`crate::fault`], or any
+//! future adapter for a real web API.
 
 use crate::budget::QueryBudget;
 use crate::database::HiddenDatabase;

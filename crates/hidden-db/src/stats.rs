@@ -88,37 +88,6 @@ pub struct MemoStats {
     pub revalidation_failed: u64,
 }
 
-/// Counters of the shared concurrent memo serving every session of a
-/// [`crate::service::DbService`]. Keyed by `(epoch, query)`, entries are
-/// immutable — there is no invalidation to count, only lookups and
-/// admission control.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharedMemoStats {
-    /// Lookups answered from the shared cache.
-    pub hits: u64,
-    /// Lookups that fell through to snapshot evaluation.
-    pub misses: u64,
-    /// Entries admitted.
-    pub insertions: u64,
-    /// Older-epoch entries retired to make room in a full shard.
-    pub retired: u64,
-    /// Admissions skipped because a shard stayed full of
-    /// same-or-newer-epoch entries (correctness-neutral).
-    pub admissions_skipped: u64,
-}
-
-impl SharedMemoStats {
-    /// Fraction of lookups served from the shared cache, in `[0,1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Counters describing the persistence tier's paging activity
 /// ([`crate::database::HiddenDatabase::persist_stats`]). All zeros when
 /// no tier is attached. Like the eval counters these are observability,

@@ -9,13 +9,12 @@
 //!
 //! Slots are grouped into fixed-size segments of [`SEGMENT_SLOTS`]
 //! consecutive slots. Each segment's column data lives in its own
-//! [`Arc`]-shared block ([`SegmentData`]), so cloning the read-side of the
-//! store ([`StoreCore`]) is a handful of reference-count bumps plus the
-//! small per-segment summary vector — the substrate for the epoch-published
-//! snapshots of [`crate::service::DbService`]. Mutation goes through
-//! [`Arc::make_mut`]: copy-on-write at segment granularity, so a published
-//! snapshot keeps the old block while the writer pays one segment copy the
-//! first time it touches a shared segment.
+//! [`Arc`]-held block ([`SegmentData`]). The `Arc` is what lets the
+//! persistence tier's read cache hand out a faulted segment without
+//! copying it, and lets every evicted segment point at one shared empty
+//! tombstone. Mutation goes through [`Arc::make_mut`], so a store clone
+//! shares untouched segments and the writer pays one segment copy the
+//! first time it touches a shared one.
 //!
 //! Each segment carries two summaries maintained on every mutation:
 //!
@@ -142,8 +141,9 @@ pub(crate) struct SegmentMeta {
 }
 
 /// One segment's column data: up to [`SEGMENT_SLOTS`] rows, grown lazily
-/// as slots are allocated. Shared between the writer and any published
-/// snapshots via [`Arc`]; mutated only through [`Arc::make_mut`].
+/// as slots are allocated. Held in an [`Arc`] (shared with the pager's
+/// read cache, and with store clones until either side writes); mutated
+/// only through [`Arc::make_mut`].
 ///
 /// With the persistence tier attached, a segment may instead be
 /// **evicted**: its slot in `StoreCore::segs` holds the pager's shared
@@ -245,18 +245,17 @@ impl Deref for SegView<'_> {
     }
 }
 
-/// The read side of the store: `Arc`-shared segment data blocks plus the
+/// The read side of the store: `Arc`-held segment data blocks plus the
 /// per-segment summaries. Everything query evaluation, ground truth, and
-/// the memo need lives here; cloning is cheap (reference-count bumps plus
-/// the summary vector), which is what makes publishing an immutable
-/// snapshot per epoch affordable. [`Store`] derefs to this, so owner-side
-/// code reads through the same API.
+/// the memo need lives here. [`Store`] derefs to this, so owner-side code
+/// reads through the same API, and the evaluation engine can borrow it
+/// while the writer-only state stays untouched.
 ///
 /// Cloning a core that has a persistence tier attached **materialises**
 /// it: evicted segments are read back from disk and the clone is fully
-/// resident with no pager — snapshots are self-contained and never
-/// compete for the resident budget (the documented trade: publishing a
-/// snapshot of an out-of-core database pins the whole pool in RAM).
+/// resident with no pager. A clone must never share a pager with its
+/// source — both would then write back and evict the same region file —
+/// so a cloned out-of-core database holds its whole pool in RAM.
 #[derive(Debug)]
 pub struct StoreCore {
     attr_count: usize,
@@ -677,7 +676,7 @@ impl Store {
         })
     }
 
-    /// The shared read side, cloned cheaply into published snapshots.
+    /// The read side (what [`Store`] derefs to).
     pub fn core(&self) -> &StoreCore {
         &self.core
     }
@@ -725,7 +724,7 @@ impl Store {
 
     /// The single writer-side mutation gate: faults the segment in if
     /// needed, marks it dirty for write-back, touches its CLOCK bit, and
-    /// hands out the COW-exclusive data. Callers must follow the
+    /// hands out the unshared data. Callers must follow the
     /// mutation with [`Store::enforce_budget`].
     fn seg_mut(&mut self, seg: usize) -> &mut SegmentData {
         self.make_resident(seg);
@@ -1173,7 +1172,7 @@ mod tests {
         assert_eq!(suffix, vec![40]);
     }
 
-    /// A cloned `StoreCore` is an immutable snapshot: segment-granular
+    /// A cloned `StoreCore` is isolated from its source: segment-granular
     /// copy-on-write means later writer mutations never show through, and
     /// untouched segments keep sharing the same blocks.
     #[test]
@@ -1189,7 +1188,7 @@ mod tests {
         s.update_measures(TupleKey(5), &[99.0]).unwrap();
         s.insert(t(100, &[0], &[1.0]), 500).unwrap();
 
-        // The snapshot still sees the pre-mutation world, bit for bit.
+        // The clone still sees the pre-mutation world, bit for bit.
         assert_eq!(snap.len(), 8);
         assert!(snap.is_alive(3));
         assert_eq!(snap.measure_at(0, 5), 5.0);
@@ -1275,7 +1274,7 @@ mod tests {
     }
 
     /// Cloning a paged core materialises every evicted segment and
-    /// detaches from the pager: the snapshot is fully in-RAM, immune to
+    /// detaches from the pager: the clone is fully in-RAM, immune to
     /// later evictions, and identical to the paged view.
     #[test]
     fn paged_core_clone_materializes_and_detaches() {
@@ -1293,7 +1292,7 @@ mod tests {
         assert!(snap.segs.iter().all(|d| !d.evicted), "clone materialises everything");
         assert_eq!(snap.len(), s.len());
         assert_eq!(snap.alive_slots().count(), n as usize);
-        // Writer keeps moving; the snapshot is frozen.
+        // Writer keeps moving; the clone is frozen.
         s.delete(TupleKey(0)).unwrap();
         assert!(snap.is_alive(0));
     }

@@ -223,6 +223,35 @@ impl HiddenDatabase {
         }
     }
 
+    /// Creates a database holding `tuples`, **bulk-loaded in score
+    /// order**: slot order is `(score desc, key asc)` under `scoring`, so
+    /// the segment and block score bounds fall as slots rise and a top-`k`
+    /// scan finds its page in the first blocks it visits. Answers, ground
+    /// truth and sampling are the same as after inserting the tuples one
+    /// by one through [`HiddenDatabase::insert`]; only the slot layout
+    /// (and so the evaluation cost) differs.
+    ///
+    /// Errors, without panicking and before building anything, with
+    /// [`DbError::TupleMismatch`] if a tuple does not fit the schema and
+    /// [`DbError::DuplicateKey`] if two tuples share a key. An empty
+    /// `tuples` gives the same database as [`HiddenDatabase::new`].
+    pub fn from_tuples(
+        schema: Schema,
+        k: usize,
+        scoring: ScoringPolicy,
+        tuples: Vec<Tuple>,
+    ) -> Result<Self, DbError> {
+        let mut db = Self::new(schema, k, scoring);
+        for t in &tuples {
+            db.validate_tuple(t)?;
+        }
+        let (attrs, measures) = (db.schema.attr_count(), db.schema.measure_count());
+        db.store =
+            Store::bulk_load(attrs, measures, tuples, |t| scoring.score(t.key(), t.measures()))?;
+        db.index = InvertedIndex::bulk_build(&db.schema, &db.store);
+        Ok(db)
+    }
+
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -795,7 +824,7 @@ impl HiddenDatabase {
 
     /// The answer [`HiddenDatabase::answer`] must give, by brute force:
     /// every alive slot is checked against every predicate and ranked
-    /// through the same `(score, slot)` top-`k` order. Uses no index,
+    /// through the same `(score, key)` top-`k` order. Uses no index,
     /// memo or engine code, so it is the reference the oracle tests
     /// compare the engine against. Unmetered: leaves every stats counter
     /// alone.
@@ -807,7 +836,7 @@ impl HiddenDatabase {
         let mut topk = TopK::new(self.k);
         for slot in self.store.alive_slots() {
             if slot_matches(query, &self.store, slot) {
-                topk.offer(self.store.score_at(slot), slot);
+                topk.offer_slot(&self.store, slot);
             }
         }
         topk.finish().outcome(&self.store)
@@ -841,30 +870,31 @@ impl HiddenDatabase {
         }
     }
 
-    /// Exact sum of `f` over alive tuples matching `query`. Sequential —
-    /// see [`HiddenDatabase::exact_sum_threads`] for the segment fan-out.
+    /// Exact sum of `f` over alive tuples matching `query`, added in
+    /// ascending key order, so the result depends only on the tuples and
+    /// not on which slot holds each one. Sequential — see
+    /// [`HiddenDatabase::exact_sum_threads`] for the segment fan-out.
     pub fn exact_sum(
         &self,
         query: Option<&ConjunctiveQuery>,
         mut f: impl FnMut(TupleRef<'_>) -> f64,
     ) -> f64 {
-        let mut acc = 0.0;
+        let mut terms = Vec::new();
         self.for_each_alive(|t| {
-            let matches = query.is_none_or(|q| t.matches(q));
-            if matches {
-                acc += f(t);
+            if query.is_none_or(|q| t.matches(q)) {
+                terms.push((t.key().0, f(t)));
             }
         });
-        acc
+        sum_in_key_order(terms)
     }
 
     /// [`HiddenDatabase::exact_sum`] fanned out over store segments.
     ///
-    /// **Bit-identical to the sequential sweep for every thread count**
-    /// (the trial-runner merge contract): workers return the raw matched
-    /// values of their segment in slot order; the main thread replays
-    /// them in segment order, so the floating-point additions happen in
-    /// exactly the sequence the sequential full-store sweep performs.
+    /// **Bit-identical to the sequential sum for every thread count**
+    /// (the trial-runner merge contract): workers return the matched
+    /// `(key, value)` terms of their segment; the main thread sorts the
+    /// union by key and adds in that order, exactly as
+    /// [`HiddenDatabase::exact_sum`] does.
     pub fn exact_sum_threads(
         &self,
         query: Option<&ConjunctiveQuery>,
@@ -872,23 +902,17 @@ impl HiddenDatabase {
         threads: Threads,
     ) -> f64 {
         let segs: Vec<usize> = self.store.live_segments().collect();
-        let parts: Vec<Vec<f64>> = par_map_indexed(segs.len(), threads, |i| {
-            let mut vals = Vec::new();
+        let parts: Vec<Vec<(u64, f64)>> = par_map_indexed(segs.len(), threads, |i| {
+            let mut terms = Vec::new();
             for slot in self.store.alive_slots_in(segs[i]) {
                 let t = TupleRef { store: &self.store, slot };
                 if query.is_none_or(|q| t.matches(q)) {
-                    vals.push(f(t));
+                    terms.push((t.key().0, f(t)));
                 }
             }
-            vals
+            terms
         });
-        let mut acc = 0.0;
-        for part in &parts {
-            for &v in part {
-                acc += v;
-            }
-        }
-        acc
+        sum_in_key_order(parts.concat())
     }
 
     /// Visits every alive tuple (owner API).
@@ -905,7 +929,15 @@ impl HiddenDatabase {
 
     /// Samples `count` distinct alive tuple keys uniformly at random,
     /// deterministically under the caller's RNG (owner API; schedules use
-    /// this to pick deletion victims).
+    /// this to pick deletion victims). The draws depend only on the set
+    /// of alive keys, never on which slot holds a tuple.
+    ///
+    /// When the alive keys fill at least `1 / SAMPLE_DENSE_SPAN` of
+    /// their range `min..=max` and at most half of them are wanted, keys
+    /// are rejection-sampled over that range through the key → slot map
+    /// (O(`count`) expected draws after one O(n) range scan). Otherwise
+    /// the picks come from a partial Fisher–Yates shuffle of
+    /// [`HiddenDatabase::alive_keys_sorted`].
     ///
     /// Returns fewer than `count` keys only if the database holds fewer
     /// alive tuples.
@@ -916,21 +948,28 @@ impl HiddenDatabase {
     ) -> Vec<TupleKey> {
         let alive = self.store.len();
         let want = count.min(alive);
-        let mut picked = std::collections::HashSet::with_capacity(want);
-        let mut out = Vec::with_capacity(want);
-        let bound = self.store.slot_bound();
-        if bound == 0 {
+        let Some((lo, hi)) = self.store.alive_key_range().filter(|_| want > 0) else {
+            return Vec::new();
+        };
+        let span = u128::from(hi - lo) + 1;
+        if span <= SAMPLE_DENSE_SPAN * alive as u128 && want <= alive / 2 {
+            let mut picked = std::collections::HashSet::with_capacity(want);
+            let mut out = Vec::with_capacity(want);
+            while out.len() < want {
+                let key = TupleKey(rng.random_range(lo..=hi));
+                if self.store.slot_of(key).is_some() && picked.insert(key) {
+                    out.push(key);
+                }
+            }
             return out;
         }
-        // Rejection sampling over slots: the store keeps fill rate high, so
-        // the expected number of draws is O(want / fill_rate).
-        while out.len() < want {
-            let slot: Slot = rng.random_range(0..bound);
-            if self.store.is_alive(slot) && picked.insert(slot) {
-                out.push(self.store.key_at(slot));
-            }
+        let mut keys = self.alive_keys_sorted();
+        for i in 0..want {
+            let j = rng.random_range(i..keys.len());
+            keys.swap(i, j);
         }
-        out
+        keys.truncate(want);
+        keys
     }
 
     /// All alive keys, sorted (deterministic; owner API, O(n log n)).
@@ -939,6 +978,19 @@ impl HiddenDatabase {
         keys.sort_unstable();
         keys
     }
+}
+
+/// Rejection sampling in [`HiddenDatabase::sample_alive_keys`] needs the
+/// alive keys to fill at least `1 / SAMPLE_DENSE_SPAN` of their range:
+/// at most that many expected draws per pick.
+const SAMPLE_DENSE_SPAN: u128 = 4;
+
+/// Adds the values of `terms` in ascending key order. Keys are unique
+/// among alive tuples, so the order (and with it every rounding step) is
+/// a function of the tuples alone.
+fn sum_in_key_order(mut terms: Vec<(u64, f64)>) -> f64 {
+    terms.sort_unstable_by_key(|&(key, _)| key);
+    terms.iter().fold(0.0, |acc, &(_, v)| acc + v)
 }
 
 /// The uncached evaluation engine behind [`HiddenDatabase::answer`]. A
@@ -957,7 +1009,7 @@ impl HiddenDatabase {
 ///
 /// Every path produces the same `CachedEval` bit-for-bit (pinned by
 /// the oracle proptest): the top-`k` page under the total
-/// `(score, slot)` order is independent of candidate visit order, and
+/// `(score, key)` order is independent of candidate visit order, and
 /// early exits only skip candidates that provably cannot enter it.
 pub(crate) fn evaluate_query(
     query: &ConjunctiveQuery,
@@ -994,7 +1046,7 @@ fn eval_root(store: &StoreCore, k: usize, config: EvalConfig, stats: &mut EvalSt
         let base = (seg * SEGMENT_SLOTS) as Slot;
         for (off, (&a, &score)) in data.alive.iter().zip(data.scores.iter()).enumerate() {
             if a {
-                topk.offer(score, base + off as Slot);
+                topk.offer(score, base + off as Slot, || data.keys[off]);
             }
         }
     }
@@ -1108,7 +1160,7 @@ fn offer_run(query: &ConjunctiveQuery, store: &StoreCore, run: &[Slot], topk: &m
         }
         prev = Some(slot);
         if slot_matches(query, store, slot) {
-            topk.offer(store.score_at(slot), slot);
+            topk.offer_slot(store, slot);
         }
     }
 }
@@ -1164,7 +1216,7 @@ fn eval_gallop(
             break;
         }
         if large[j] == slot && slot_matches(query, store, slot) {
-            topk.offer(store.score_at(slot), slot);
+            topk.offer_slot(store, slot);
         }
     }
     topk.finish()
@@ -1218,7 +1270,7 @@ fn eval_bitset(
             prev = Some(slot);
             let off = (slot - base) as usize;
             if words[off >> 6] & (1u64 << (off & 63)) != 0 && slot_matches(query, store, slot) {
-                topk.offer(store.score_at(slot), slot);
+                topk.offer_slot(store, slot);
             }
         }
     }
@@ -1286,6 +1338,10 @@ fn eval_blockmax(
     // handful of blocks, so O(B) heapify + O(log B) per visited block
     // beats O(B log B) sorting of a directory that mostly gets skipped.
     let mut heap = BinaryHeap::from(blocks);
+    // Per-block scratch, allocated once per evaluation: the runs of the
+    // block being intersected, and (reusing the directory cursors) the
+    // sparse path's run cursors.
+    let mut runs: Vec<&[Slot]> = Vec::with_capacity(lists.len());
     while let Some((bound, Reverse(blk))) = heap.pop() {
         // The heap is popped bound-descending, so this bound caps every
         // candidate in every remaining block.
@@ -1295,22 +1351,25 @@ fn eval_blockmax(
             break;
         }
         stats.blocks_scanned += 1;
-        intersect_block(query, store, &lists, blk, &mut topk, stats);
+        runs.clear();
+        runs.extend(lists.iter().map(|l| l.block_run(blk)));
+        intersect_block(query, store, &runs, &mut cursors, blk, &mut topk, stats);
     }
     topk.finish()
 }
 
-/// Intersects one block across all predicate runs, feeding full matches
-/// (after the columnar `slot_matches` revalidation) into the heap.
+/// Intersects one block across all predicate `runs` (one per list),
+/// feeding full matches (after the columnar `slot_matches`
+/// revalidation) into the heap. `cursors` is the sparse path's scratch.
 fn intersect_block(
     query: &ConjunctiveQuery,
     store: &StoreCore,
-    lists: &[SortedPostings<'_>],
+    runs: &[&[Slot]],
+    cursors: &mut Vec<usize>,
     blk: u32,
     topk: &mut TopK,
     stats: &mut EvalStats,
 ) {
-    let runs: Vec<&[Slot]> = lists.iter().map(|l| l.block_run(blk)).collect();
     // Pivot list = shortest run; rarest-first rank breaks ties.
     let driver_idx = (0..runs.len()).min_by_key(|&i| (runs[i].len(), i)).unwrap();
     let driver = runs[driver_idx];
@@ -1321,25 +1380,27 @@ fn intersect_block(
     }
     let longest = runs.iter().map(|r| r.len()).max().unwrap();
     if longest >= GALLOP_RATIO * driver.len() {
-        block_gallop(query, store, &runs, driver_idx, topk, stats);
+        cursors.clear();
+        cursors.resize(runs.len(), 0);
+        block_gallop(query, store, runs, cursors, driver_idx, topk, stats);
     } else {
-        block_bitset(query, store, &runs, driver_idx, blk, topk);
+        block_bitset(query, store, runs, driver_idx, blk, topk);
     }
 }
 
 /// Sparse in-block path: walk the pivot (shortest) run and gallop every
 /// other run forward to each pivot slot; the first miss rejects the
 /// pivot, an exhausted run ends the block (runs ascend — nothing later
-/// can match).
+/// can match). `cursors` holds one zeroed position per run.
 fn block_gallop(
     query: &ConjunctiveQuery,
     store: &StoreCore,
     runs: &[&[Slot]],
+    cursors: &mut [usize],
     driver_idx: usize,
     topk: &mut TopK,
     stats: &mut EvalStats,
 ) {
-    let mut cursors = vec![0usize; runs.len()];
     let mut prev = None;
     'pivot: for &slot in runs[driver_idx].iter() {
         if prev == Some(slot) {
@@ -1361,7 +1422,7 @@ fn block_gallop(
             }
         }
         if slot_matches(query, store, slot) {
-            topk.offer(store.score_at(slot), slot);
+            topk.offer_slot(store, slot);
         }
     }
 }
@@ -1410,7 +1471,7 @@ fn block_bitset(
             bits &= bits - 1;
             let slot = base + off as Slot;
             if slot_matches(query, store, slot) {
-                topk.offer(store.score_at(slot), slot);
+                topk.offer_slot(store, slot);
             }
         }
     }
@@ -2089,7 +2150,7 @@ mod tests {
             let mut d = HiddenDatabase::new(schema, 3, ScoringPolicy::ByMeasureDesc(MeasureId(0)));
             let mut outs = Vec::new();
             for round in 0..30u64 {
-                // Ties everywhere: measures from a tiny domain, so slot
+                // Ties everywhere: measures from a tiny domain, so key
                 // tie-breaks decide pages.
                 let batch = UpdateBatch::empty()
                     .insert(t(round * 2 + 1000, (round % 2) as u32, (round % 3) as u32, 5.0))
@@ -2330,6 +2391,56 @@ mod tests {
             d.store.segment_count()
         );
         let _ = std::fs::remove_dir_all(&cfg.dir);
+    }
+
+    #[test]
+    fn from_tuples_rejects_bad_input_without_panicking() {
+        let schema = || Schema::with_domain_sizes(&[2, 3], &["price"]).unwrap();
+        let load =
+            |tuples| HiddenDatabase::from_tuples(schema(), 2, ScoringPolicy::default(), tuples);
+        let dup = vec![t(1, 0, 0, 1.0), t(2, 1, 1, 2.0), t(1, 1, 2, 3.0)];
+        assert!(matches!(load(dup), Err(DbError::DuplicateKey(TupleKey(1)))));
+        let arity = vec![t(1, 0, 0, 1.0), Tuple::new(TupleKey(2), vec![ValueId(0)], vec![1.0])];
+        assert!(matches!(load(arity), Err(DbError::TupleMismatch(_))));
+        let measures = vec![Tuple::new(TupleKey(1), vec![ValueId(0), ValueId(0)], vec![])];
+        assert!(matches!(load(measures), Err(DbError::TupleMismatch(_))));
+        let domain = vec![t(1, 0, 0, 1.0), t(2, 0, 3, 1.0)];
+        assert!(matches!(load(domain), Err(DbError::TupleMismatch(_))));
+        // An empty load is the empty database, byte for byte.
+        let mut empty = Vec::new();
+        crate::codec::write_snapshot(&load(Vec::new()).unwrap(), &mut empty).unwrap();
+        let mut fresh = Vec::new();
+        let new = HiddenDatabase::new(schema(), 2, ScoringPolicy::default());
+        crate::codec::write_snapshot(&new, &mut fresh).unwrap();
+        assert_eq!(empty, fresh);
+    }
+
+    #[test]
+    fn bulk_load_orders_segments_by_score_so_early_exits_skip() {
+        // Five segments of tuples; A0 = 0 matches half of them, so a
+        // one-predicate query overflows k = 10 by thousands.
+        let n = 5 * SEGMENT_SLOTS as u64;
+        let tuples: Vec<Tuple> = (0..n).map(|key| t(key, (key % 2) as u32, 0, 1.0)).collect();
+        let schema = Schema::with_domain_sizes(&[2, 3], &["price"]).unwrap();
+        let scoring = ScoringPolicy::default();
+        let mut bulk =
+            HiddenDatabase::from_tuples(schema.clone(), 10, scoring, tuples.clone()).unwrap();
+        let bounds: Vec<u64> =
+            (0..bulk.store.segment_count()).map(|s| bulk.store.segment_max_score(s)).collect();
+        assert_eq!(bounds.len(), 5);
+        assert!(bounds.windows(2).all(|w| w[0] >= w[1]), "segment bounds must not rise");
+        let query = q(&[(0, 0)]);
+        let page = bulk.answer(&query);
+        assert!(page.is_overflow());
+        assert!(bulk.eval_stats().segments_skipped > 0, "the page sits in the first segment");
+        // The same tuples inserted one by one: hashed scores land in
+        // every segment, no bound falls below the floor, nothing skips.
+        let mut inserted = HiddenDatabase::new(schema, 10, scoring);
+        for tuple in tuples {
+            inserted.insert(tuple).unwrap();
+        }
+        assert_eq!(inserted.answer(&query), page);
+        assert_eq!(inserted.eval_stats().segments_skipped, 0);
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //! hash set.
 
 use crate::schema::Schema;
-use crate::store::{block_of, segment_of, Slot, StoreCore, BLOCKS_PER_SEGMENT, BLOCK_SLOTS};
+use crate::store::{
+    block_of, segment_of, Slot, StoreCore, BLOCKS_PER_SEGMENT, BLOCK_SLOTS, SEGMENT_SLOTS,
+};
 use crate::value::{AttrId, ValueId};
 
 /// A posting list compacts when dead entries exceed this fraction.
@@ -330,6 +332,25 @@ impl InvertedIndex {
             .map(|a| vec![PostingList::default(); schema.domain_size(a) as usize])
             .collect();
         Self { lists }
+    }
+
+    /// Builds the index of a freshly bulk-loaded, fully resident store
+    /// ([`crate::store::Store::bulk_load`]): one ascending slot pass per
+    /// attribute, so every list comes out sorted with its segment runs
+    /// and block directory in place.
+    pub(crate) fn bulk_build(schema: &Schema, store: &StoreCore) -> Self {
+        let mut index = Self::new(schema);
+        let segs = store.segment_count();
+        for (a, lists) in index.lists.iter_mut().enumerate() {
+            for seg in 0..segs {
+                let data = store.seg_view(seg);
+                let base = (seg * SEGMENT_SLOTS) as Slot;
+                for (off, (&v, &score)) in data.columns[a].iter().zip(&data.scores).enumerate() {
+                    lists[v as usize].push(base + off as Slot, score);
+                }
+            }
+        }
+        index
     }
 
     /// Registers a freshly inserted tuple (with its hidden score, which

@@ -124,7 +124,7 @@ pub(crate) struct CachedEval {
     /// "floor"); `u64::MAX` for an empty page (`k == 0`), where nothing
     /// can enter. A churned tuple whose score stays *strictly* below the
     /// floor cannot displace any page slot under the total
-    /// `(score, slot)` order.
+    /// `(score, key)` order.
     pub(crate) floor: u64,
     /// Materialised page, filled on first demand. Safe to cache because
     /// the memo drops (or demotes and re-checks) this entry before any
@@ -160,36 +160,59 @@ impl CachedEval {
 ///
 /// Candidates are [`TopK::offer`]ed one at a time (already verified to
 /// match the query and be alive); the accumulator tracks the match count
-/// and the best `k` by `(score, slot)`. Between batches of candidates the
-/// driver may consult [`TopK::can_stop`] with an upper bound on every
-/// remaining candidate's score — once the query has provably overflowed
-/// *and* the heap floor beats that bound, the rest of the scan cannot
-/// change the returned page, so evaluation stops early. The resulting
-/// [`CachedEval`] is **bit-identical** to an exhaustive scan: the top-`k`
-/// set under the total `(score, slot)` order does not depend on candidate
-/// arrival order, and the overflow classification is already decided when
-/// an early exit fires.
+/// and the best `k` by `(score, key)` — score descending, ties broken by
+/// tuple key descending, the order [`crate::ranking::ScoringPolicy`]
+/// documents. Keys are unique among alive tuples, so this is a total
+/// order that does not depend on which slot holds a tuple. Between
+/// batches of candidates the driver may consult [`TopK::can_stop`] with
+/// an upper bound on every remaining candidate's score — once the query
+/// has provably overflowed *and* the heap floor beats that bound, the
+/// rest of the scan cannot change the returned page, so evaluation stops
+/// early. The resulting [`CachedEval`] is **bit-identical** to an
+/// exhaustive scan: the top-`k` set under a total order does not depend
+/// on candidate arrival order, and the overflow classification is
+/// already decided when an early exit fires.
 pub(crate) struct TopK {
-    heap: BinaryHeap<Reverse<(u64, Slot)>>,
+    /// `(score, key, slot)`, min-first: the root is the page floor.
+    heap: BinaryHeap<Reverse<(u64, u64, Slot)>>,
     k: usize,
     matched: usize,
 }
 
 impl TopK {
     pub(crate) fn new(k: usize) -> Self {
-        // Capacity k+1: if total matches ≤ k the heap simply holds them
-        // all; the transient k+1-th lives in the spare slot.
-        Self { heap: BinaryHeap::with_capacity(k + 1), k, matched: 0 }
+        Self { heap: BinaryHeap::with_capacity(k), k, matched: 0 }
     }
 
-    /// Accounts one matching candidate.
+    /// Accounts one matching candidate. `key` yields the candidate's
+    /// tuple key; it is called only when the candidate's score is at
+    /// least the floor's, so a loser costs one comparison and no key
+    /// read. A winner replaces the floor in place (one sift-down).
     #[inline]
-    pub(crate) fn offer(&mut self, score: u64, slot: Slot) {
+    pub(crate) fn offer(&mut self, score: u64, slot: Slot, key: impl FnOnce() -> u64) {
         self.matched += 1;
-        self.heap.push(Reverse((score, slot)));
-        if self.heap.len() > self.k {
-            self.heap.pop();
+        if self.heap.len() < self.k {
+            self.heap.push(Reverse((score, key(), slot)));
+            return;
         }
+        // Full (or k == 0, where nothing enters): beat the floor or leave.
+        // `PeekMut` sifts down only if written through.
+        let Some(mut floor) = self.heap.peek_mut() else { return };
+        let Reverse((floor_score, floor_key, _)) = *floor;
+        if score < floor_score {
+            return;
+        }
+        let key = key();
+        if score > floor_score || key > floor_key {
+            *floor = Reverse((score, key, slot));
+        }
+    }
+
+    /// [`TopK::offer`] for the alive candidate at `slot`, reading its
+    /// score (and, past the floor, its key) from the store.
+    #[inline]
+    pub(crate) fn offer_slot(&mut self, store: &StoreCore, slot: Slot) {
+        self.offer(store.score_at(slot), slot, || store.key_at(slot).0);
     }
 
     /// Whether the query has already provably overflowed — the cheap
@@ -205,29 +228,28 @@ impl TopK {
     /// page. `remaining_bound` must be `>=` the score of every candidate
     /// not yet offered; the comparison is strict because a remaining
     /// candidate whose score *equals* the floor could still displace it
-    /// on the slot tie-break.
+    /// on the key tie-break.
     #[inline]
     pub(crate) fn can_stop(&self, remaining_bound: u64) -> bool {
         self.overflowed()
             && match self.heap.peek() {
-                Some(&Reverse((floor, _))) => remaining_bound < floor,
+                Some(&Reverse((floor, _, _))) => remaining_bound < floor,
                 // k == 0: the page is empty no matter what remains.
                 None => true,
             }
     }
 
     /// Materialises the evaluation: page slots best-first — score
-    /// descending, ties by slot descending, the total `(score, slot)`
-    /// order — plus the match count and page floor (the last entry's
-    /// score) the memo's revalidation anchors on. Ranks from the heap's
-    /// own `(score, slot)` pairs, so it reads no store data: on a paged
-    /// store, a score lookup per comparison would fault segments in
-    /// page-rank order.
+    /// descending, ties by key descending — plus the match count and
+    /// page floor (the last entry's score) the memo's revalidation
+    /// anchors on. Ranks from the heap's own `(score, key, slot)`
+    /// entries, so it reads no store data: on a paged store, a lookup
+    /// per comparison would fault segments in page-rank order.
     pub(crate) fn finish(self) -> CachedEval {
-        // Ascending `Reverse((score, slot))` is descending `(score, slot)`.
+        // Ascending `Reverse(..)` is descending `(score, key, slot)`.
         let ranked = self.heap.into_sorted_vec();
-        let floor = ranked.last().map_or(u64::MAX, |&Reverse((score, _))| score);
-        let slots: Vec<Slot> = ranked.into_iter().map(|Reverse((_, s))| s).collect();
+        let floor = ranked.last().map_or(u64::MAX, |&Reverse((score, _, _))| score);
+        let slots: Vec<Slot> = ranked.into_iter().map(|Reverse((_, _, s))| s).collect();
         let mut eval = CachedEval::new(self.matched > self.k, slots);
         eval.matched = self.matched;
         eval.floor = floor;
@@ -278,7 +300,7 @@ mod tests {
         let mut topk = TopK::new(k);
         for slot in candidates {
             if slot_matches(q, store, slot) {
-                topk.offer(store.score_at(slot), slot);
+                topk.offer_slot(store, slot);
             }
         }
         topk.finish()
@@ -353,41 +375,95 @@ mod tests {
         let store = store_with(6); // scores = keys 0..=5
         let mut topk = TopK::new(3);
         for slot in 0..4u32 {
-            topk.offer(store.score_at(slot), slot);
+            topk.offer_slot(&store, slot);
         }
         // matched (4) > k (3); floor is score 1 (slots 1,2,3 kept).
         assert!(topk.can_stop(0), "bound below the floor stops");
-        assert!(!topk.can_stop(1), "bound equal to the floor must not stop (slot tie-break)");
+        assert!(!topk.can_stop(1), "bound equal to the floor must not stop (key tie-break)");
         assert!(!topk.can_stop(5), "bound above the floor must not stop");
         // Not yet overflowed: never stop.
         let mut fresh = TopK::new(3);
-        fresh.offer(9, 0);
+        fresh.offer(9, 0, || 0);
         assert!(!fresh.can_stop(0));
         // k == 0: a single match pins the (empty) overflow page.
         let mut zero = TopK::new(0);
-        zero.offer(1, 0);
+        zero.offer(1, 0, || 0);
         assert!(zero.can_stop(u64::MAX));
     }
 
+    /// The ranking `TopK` must produce, by sorting: `(score, key)`
+    /// descending, cut to `k`.
+    fn sorted_reference(offered: &[(u64, u64, Slot)], k: usize) -> Vec<(u64, u64, Slot)> {
+        let mut brute = offered.to_vec();
+        brute.sort_unstable_by_key(|&(score, key, _)| Reverse((score, key)));
+        brute.truncate(k);
+        brute
+    }
+
+    fn assert_matches_reference(offered: &[(u64, u64, Slot)], k: usize) {
+        let mut topk = TopK::new(k);
+        for &(score, key, slot) in offered {
+            topk.offer(score, slot, || key);
+        }
+        let want = sorted_reference(offered, k);
+        let eval = topk.finish();
+        assert_eq!(eval.slots, want.iter().map(|&(_, _, s)| s).collect::<Vec<_>>(), "k = {k}");
+        assert_eq!(eval.floor, want.last().map_or(u64::MAX, |&(score, _, _)| score), "k = {k}");
+        assert_eq!(eval.matched, offered.len());
+        assert_eq!(eval.overflow, offered.len() > k);
+    }
+
     #[test]
-    fn finish_ranks_score_desc_then_slot_desc_with_ties() {
-        // 40 slots share 4 scores, offered out of slot order: heavy ties,
-        // so the slot tie-break decides most ranks.
-        let offered: Vec<(u64, Slot)> =
-            (0..40u32).map(|i| i * 17 % 40).map(|s| (u64::from(s * 7 % 4), s)).collect();
-        let mut brute = offered.clone();
-        brute.sort_unstable_by(|a, b| b.cmp(a));
+    fn finish_ranks_score_desc_then_key_desc_with_ties() {
+        // 40 candidates share 4 scores, offered out of slot order, and
+        // their keys run against their slots: heavy ties, so the key
+        // tie-break decides most ranks and a slot tie-break would not.
+        let offered: Vec<(u64, u64, Slot)> = (0..40u32)
+            .map(|i| i * 17 % 40)
+            .map(|s| (u64::from(s * 7 % 4), u64::from(1000 - s * 13 % 40), s))
+            .collect();
         for k in [0, 1, 5, 13, 40, 50] {
-            let mut topk = TopK::new(k);
-            for &(score, slot) in &offered {
-                topk.offer(score, slot);
-            }
-            let want = &brute[..k.min(brute.len())];
-            let eval = topk.finish();
-            assert_eq!(eval.slots, want.iter().map(|&(_, s)| s).collect::<Vec<_>>(), "k = {k}");
-            assert_eq!(eval.floor, want.last().map_or(u64::MAX, |&(score, _)| score), "k = {k}");
-            assert_eq!(eval.matched, brute.len());
-            assert_eq!(eval.overflow, brute.len() > k);
+            assert_matches_reference(&offered, k);
+        }
+    }
+
+    #[test]
+    fn losers_never_read_their_key() {
+        let mut topk = TopK::new(2);
+        topk.offer(10, 0, || 1);
+        topk.offer(20, 1, || 2);
+        // Below the floor (10): rejected on the score alone.
+        topk.offer(5, 2, || panic!("a loser's key was read"));
+        // At the floor: the key decides, so it is read; key 0 < 1 loses.
+        let mut read = false;
+        topk.offer(10, 3, || {
+            read = true;
+            0
+        });
+        assert!(read);
+        let eval = topk.finish();
+        assert_eq!(eval.slots, vec![1, 0]);
+        assert_eq!(eval.matched, 4);
+    }
+
+    // `finish()` equals a sort-based reference over random streams with
+    // heavy score ties, for every `k` including 0.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn topk_matches_sorted_reference(
+            scores in proptest::prelude::prop::collection::vec(0u64..6, 0..120),
+            k in 0usize..12,
+            salt in 0u64..1000,
+        ) {
+            // Distinct keys in an order unrelated to slots.
+            let offered: Vec<(u64, u64, Slot)> = scores
+                .iter()
+                .enumerate()
+                .map(|(i, &score)| (score, (i as u64 * 7919 + salt) % 100_003, i as Slot))
+                .collect();
+            assert_matches_reference(&offered, k);
         }
     }
 

@@ -44,8 +44,10 @@ impl ScoringPolicy {
     /// The hidden score of a tuple: larger is better (returned earlier).
     ///
     /// Measure-based scores are mapped to a monotone `u64` so all policies
-    /// can share one comparison path; ties are broken by tuple key so the
-    /// total order is deterministic.
+    /// can share one comparison path; ties are broken by tuple key, the
+    /// larger key ranking first, so the total order is deterministic and
+    /// independent of where a tuple is stored. `HashedRandom` and
+    /// `NewestFirst` never tie.
     #[inline]
     pub(crate) fn score(&self, key: TupleKey, measures: &[f64]) -> u64 {
         match *self {

@@ -81,7 +81,8 @@ impl<S: UpdateSchedule> RoundDriver<S> {
     }
 }
 
-/// Convenience: builds a database from a factory's first `n` tuples.
+/// Convenience: builds a database from a factory's first `n` tuples,
+/// bulk-loaded in score order ([`HiddenDatabase::from_tuples`]).
 pub fn load_database<F: TupleFactory>(
     factory: &mut F,
     rng: &mut StdRng,
@@ -89,11 +90,9 @@ pub fn load_database<F: TupleFactory>(
     k: usize,
     scoring: ScoringPolicy,
 ) -> HiddenDatabase {
-    let mut db = HiddenDatabase::new(factory.schema().clone(), k, scoring);
-    for t in factory.make_many(rng, n) {
-        db.insert(t).expect("factory tuples must fit the schema");
-    }
-    db
+    let tuples = factory.make_many(rng, n);
+    HiddenDatabase::from_tuples(factory.schema().clone(), k, scoring, tuples)
+        .expect("factory tuples must fit the schema")
 }
 
 #[cfg(test)]

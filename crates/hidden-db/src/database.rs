@@ -248,7 +248,7 @@ impl HiddenDatabase {
         let (attrs, measures) = (db.schema.attr_count(), db.schema.measure_count());
         db.store =
             Store::bulk_load(attrs, measures, tuples, |t| scoring.score(t.key(), t.measures()))?;
-        db.index = InvertedIndex::bulk_build(&db.schema, &db.store);
+        db.index.rebuild(&db.store);
         Ok(db)
     }
 
@@ -915,7 +915,9 @@ impl HiddenDatabase {
         sum_in_key_order(parts.concat())
     }
 
-    /// Visits every alive tuple (owner API).
+    /// Visits every alive tuple (owner API), in ascending slot order —
+    /// the one owner-side view that follows the slot layout. A caller
+    /// that draws from the visit order must put it in key order first.
     pub fn for_each_alive(&self, mut f: impl FnMut(TupleRef<'_>)) {
         for slot in self.store.alive_slots() {
             f(TupleRef { store: &self.store, slot });

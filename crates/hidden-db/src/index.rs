@@ -334,25 +334,6 @@ impl InvertedIndex {
         Self { lists }
     }
 
-    /// Builds the index of a freshly bulk-loaded, fully resident store
-    /// ([`crate::store::Store::bulk_load`]): one ascending slot pass per
-    /// attribute, so every list comes out sorted with its segment runs
-    /// and block directory in place.
-    pub(crate) fn bulk_build(schema: &Schema, store: &StoreCore) -> Self {
-        let mut index = Self::new(schema);
-        let segs = store.segment_count();
-        for (a, lists) in index.lists.iter_mut().enumerate() {
-            for seg in 0..segs {
-                let data = store.seg_view(seg);
-                let base = (seg * SEGMENT_SLOTS) as Slot;
-                for (off, (&v, &score)) in data.columns[a].iter().zip(&data.scores).enumerate() {
-                    lists[v as usize].push(base + off as Slot, score);
-                }
-            }
-        }
-        index
-    }
-
     /// Registers a freshly inserted tuple (with its hidden score, which
     /// feeds the per-list block-max bounds).
     ///
@@ -547,10 +528,13 @@ impl InvertedIndex {
         idx
     }
 
-    /// Fully rebuilds the index from the store (used by tests and after
-    /// bulk loads).
+    /// Fully rebuilds the index from the store's alive occupants: one
+    /// ascending slot pass per attribute, reading that attribute's column
+    /// segment by segment, so every list comes out sorted with its
+    /// segment runs and block directory in place. Builds the index of a
+    /// bulk load ([`crate::database::HiddenDatabase::from_tuples`]).
     pub fn rebuild(&mut self, store: &StoreCore) {
-        for attr_lists in &mut self.lists {
+        for (a, attr_lists) in self.lists.iter_mut().enumerate() {
             for list in attr_lists.iter_mut() {
                 list.slots.clear();
                 list.runs.clear();
@@ -558,12 +542,15 @@ impl InvertedIndex {
                 list.dead = 0;
                 list.sorted = false;
             }
-        }
-        for slot in store.alive_slots() {
-            let score = store.score_at(slot);
-            for (a, attr_lists) in self.lists.iter_mut().enumerate() {
-                let v = store.value_at(a, slot);
-                attr_lists[v as usize].push(slot, score);
+            for seg in 0..store.segment_count() {
+                let data = store.seg_view(seg);
+                let base = (seg * SEGMENT_SLOTS) as Slot;
+                let rows = data.alive.iter().zip(&data.columns[a]).zip(&data.scores);
+                for (off, ((&alive, &v), &score)) in rows.enumerate() {
+                    if alive {
+                        attr_lists[v as usize].push(base + off as Slot, score);
+                    }
+                }
             }
         }
     }

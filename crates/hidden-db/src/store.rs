@@ -45,10 +45,12 @@
 //!
 //! ## Slot layout
 //!
-//! Nothing a caller can observe depends on which slot holds a tuple:
-//! pages rank by `(score, key)`, ground-truth sums add in key order, and
-//! deletion victims are sampled over keys. The layout is therefore free
-//! to serve evaluation speed. `Store::bulk_load` (behind
+//! Answers, ground truth and sampling do not depend on which slot holds
+//! a tuple: pages rank by `(score, key)`, ground-truth sums add in key
+//! order, and deletion victims are sampled over keys. Only
+//! `HiddenDatabase::for_each_alive` follows the layout (it visits in slot
+//! order), and callers that draw from it sort by key first. The layout
+//! is therefore free to serve evaluation speed. `Store::bulk_load` (behind
 //! `HiddenDatabase::from_tuples`) places the initial pool in score order
 //! — `(score desc, key asc)` — so segment and block score bounds fall as
 //! slots rise and a best-bound-first top-`k` scan stops after the first
@@ -665,10 +667,11 @@ impl Store {
     ///
     /// Built without the per-tuple insert path: slots are pre-sized, the
     /// tuples are consumed in the order given (each row written straight
-    /// to its slot, so they free in allocation order), and the summaries
-    /// come from one pass per segment. Shape validation is the caller's
-    /// job; a repeated key is an error, checked before any row is
-    /// written.
+    /// to its slot, so they free in allocation order), and the segment
+    /// summaries come from the exact sweeps that
+    /// [`Store::recompute_segment_bound`] uses. Shape validation is the
+    /// caller's job; a repeated key is an error, checked before any row
+    /// is written.
     pub(crate) fn bulk_load(
         attr_count: usize,
         measure_count: usize,
@@ -712,26 +715,14 @@ impl Store {
             }
         }
         drop(slot_of_tuple);
-        let meta = segs
-            .iter()
-            .map(|data| {
-                let mut meta = SegmentMeta { alive: data.alive.len() as u32, ..Default::default() };
-                for (off, &score) in data.scores.iter().enumerate() {
-                    let blk = &mut meta.block_max[off >> BLOCK_SHIFT];
-                    *blk = (*blk).max(score);
-                }
-                meta.max_score = meta.block_max.iter().copied().max().unwrap_or(0);
-                meta
-            })
-            .collect();
         let segs: Vec<Arc<SegmentData>> = segs.into_iter().map(Arc::new).collect();
-        Ok(Self {
+        let mut store = Self {
             core: StoreCore {
                 attr_count,
                 measure_count,
                 resident: segs.len(),
+                meta: vec![SegmentMeta::default(); segs.len()],
                 segs,
-                meta,
                 allocated: n,
                 alive_count: n,
                 pager: None,
@@ -739,7 +730,16 @@ impl Store {
             free: Vec::new(),
             key_to_slot,
             clock_hand: 0,
-        })
+        };
+        for seg in 0..store.core.segs.len() {
+            store.core.meta[seg] = SegmentMeta {
+                alive: store.core.segs[seg].alive.len() as u32,
+                max_score: store.core.exact_segment_max(seg),
+                block_max: store.core.exact_block_maxes(seg),
+                ..Default::default()
+            };
+        }
+        Ok(store)
     }
 
     /// Rebuilds a store from restored snapshot state (codec v2): segment

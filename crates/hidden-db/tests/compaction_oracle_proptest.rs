@@ -7,9 +7,9 @@
 //! [`HiddenDatabase::reference_answer`] of a never-compact, memo-disabled
 //! database, whose own engine answers must match it too. Both ranking
 //! families run: `NewestFirst` (distinct scores) and `ByMeasureDesc`
-//! over a tiny measure domain (heavy score ties, so slot tie-breaks
-//! decide pages — the regime where an unsound compaction that moved
-//! slots or loosened a bound would diverge first).
+//! over a tiny measure domain (heavy score ties, so key tie-breaks
+//! decide pages — the regime where an unsound compaction that dropped a
+//! tied tuple or loosened a bound would diverge first).
 
 use hidden_db::database::HiddenDatabase;
 use hidden_db::query::{ConjunctiveQuery, Predicate};
@@ -149,7 +149,7 @@ proptest! {
         let scoring = if newest_first {
             ScoringPolicy::NewestFirst
         } else {
-            // Tiny measure domain: heavy score ties, slot tie-breaks
+            // Tiny measure domain: heavy score ties, key tie-breaks
             // decide pages.
             ScoringPolicy::ByMeasureDesc(MeasureId(0))
         };

@@ -55,7 +55,7 @@ const FIX_CHURN: f64 = 0.015;
 const BID_ACTIVITY: f64 = 0.35;
 
 /// The simulated listing pool.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EbaySim {
     schema: Schema,
     next_key: u64,
@@ -116,7 +116,8 @@ impl EbaySim {
     pub fn batch_for_hour(&mut self, db: &HiddenDatabase) -> UpdateBatch {
         let mut batch = UpdateBatch::empty();
         let mut rng = StdRng::seed_from_u64(self.rng.random());
-        // Collect segment members once.
+        // Collect segment members once, in key order: the draws below
+        // pick by position, and `for_each_alive` visits in slot order.
         let mut fix_keys = Vec::new();
         let mut bid_keys = Vec::new();
         db.for_each_alive(|t| {
@@ -126,6 +127,8 @@ impl EbaySim {
                 bid_keys.push((t.key(), t.measure(PRICE)));
             }
         });
+        fix_keys.sort_unstable();
+        bid_keys.sort_unstable_by_key(|&(key, _)| key);
         // FIX churn.
         let fix_out = ((fix_keys.len() as f64) * FIX_CHURN).round() as usize;
         for _ in 0..fix_out {
@@ -188,6 +191,37 @@ mod tests {
         let bid_survival = bid0.intersection(&bid1).count() as f64 / bid0.len() as f64;
         assert!(fix_survival > 0.92, "FIX survival {fix_survival}");
         assert!(bid_survival < 0.55, "BID survival {bid_survival}");
+    }
+
+    /// The hourly batches depend on the listings alone, not on which
+    /// slot holds each one: a copy of the pool laid out in score order
+    /// gets the same batches and the same ground truth, hour after hour.
+    #[test]
+    fn batches_are_blind_to_slot_layout() {
+        let (mut db, mut sim) = EbaySim::build(1_500, 1_500, 8);
+        let mut tuples = Vec::new();
+        db.for_each_alive(|t| {
+            let values = (0..5).map(|a| t.value(hidden_db::value::AttrId(a))).collect();
+            tuples.push(Tuple::new(t.key(), values, vec![t.measure(PRICE)]));
+        });
+        let mut other =
+            HiddenDatabase::from_tuples(EbaySim::schema(), 100, ScoringPolicy::default(), tuples)
+                .unwrap();
+        let mut other_sim = sim.clone();
+        for hour in 0..4 {
+            let batch = sim.batch_for_hour(&db);
+            let other_batch = other_sim.batch_for_hour(&other);
+            assert_eq!(format!("{batch:?}"), format!("{other_batch:?}"), "hour {hour}");
+            db.apply(batch).unwrap();
+            other.apply(other_batch).unwrap();
+            for lt in [attrs::FIX, attrs::BID] {
+                assert_eq!(
+                    EbaySim::true_avg_price(&db, lt).to_bits(),
+                    EbaySim::true_avg_price(&other, lt).to_bits(),
+                    "hour {hour}"
+                );
+            }
+        }
     }
 
     fn collect_segment(db: &HiddenDatabase, lt: ValueId) -> std::collections::HashSet<u64> {

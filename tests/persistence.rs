@@ -179,9 +179,9 @@ proptest! {
         let scoring = if newest_first {
             ScoringPolicy::NewestFirst
         } else {
-            // Tiny measure domain: heavy score ties, so slot tie-breaks
-            // decide pages — the regime where a pager that perturbed
-            // slot assignment or bounds would diverge first.
+            // Tiny measure domain: heavy score ties, so key tie-breaks
+            // decide pages — the regime where a pager that dropped a
+            // tied tuple or perturbed bounds would diverge first.
             ScoringPolicy::ByMeasureDesc(MeasureId(0))
         };
         let oracle = &mut fresh_db(k, scoring, EvalConfig::default(), None);
